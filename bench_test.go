@@ -176,6 +176,36 @@ func BenchmarkScenarioSteadyHour(b *testing.B) {
 	}
 }
 
+// BenchmarkScenarioExamDay measures one exam day under overload: 2000
+// students on the public model with the reactive scaler, a flat 2h day
+// whose middle hour carries a 10x exam crowd — the single-engine
+// request path with deep processor-sharing queues and rejections. It
+// also reports the cost per fired event.
+func BenchmarkScenarioExamDay(b *testing.B) {
+	cfg := scenario.Config{
+		Seed:              benchSeed,
+		Kind:              deploy.Public,
+		Students:          2000,
+		ReqPerStudentHour: 50,
+		Duration:          2 * time.Hour,
+		Diurnal:           workload.FlatDiurnal(),
+		Scaler:            scenario.ScalerReactive,
+		Crowds: []workload.FlashCrowd{{
+			Start: 30 * time.Minute, End: 90 * time.Minute, Mult: 10, ExamTraffic: true,
+		}},
+	}
+	b.ReportAllocs()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		res, err := scenario.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Events
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkFluidSemester measures the flow-level semester integration.
 func BenchmarkFluidSemester(b *testing.B) {
 	sem := workload.StandardSemester()

@@ -1,9 +1,5 @@
 package lms
 
-import (
-	"elearncloud/internal/sim"
-)
-
 // Cluster is a load-balanced pool of application servers fronted by a
 // least-connections balancer. The autoscaler grows and shrinks it; the
 // scenario submits requests to it.
@@ -24,11 +20,14 @@ func NewCluster(name string) *Cluster {
 // Name returns the cluster's label.
 func (c *Cluster) Name() string { return c.name }
 
-// Add registers a server with the balancer.
+// Add registers a server with the balancer. From then on every job the
+// server completes counts in the cluster's Served, including jobs still
+// draining after Remove.
 func (c *Cluster) Add(s *AppServer) {
 	if s == nil {
 		panic("lms: Cluster.Add nil server")
 	}
+	s.cluster = c
 	c.servers = append(c.servers, s)
 }
 
@@ -103,8 +102,9 @@ func (c *Cluster) Rejected() uint64 { return c.rejected }
 
 // Submit routes a job to the accepting server with the fewest in-flight
 // jobs (ties to the earliest-added server). It returns false if no server
-// can take the job — the client sees an overload error.
-func (c *Cluster) Submit(service float64, done func()) bool {
+// can take the job — the client sees an overload error. done follows
+// AppServer.Submit's contract.
+func (c *Cluster) Submit(service float64, done func(killed bool)) bool {
 	c.arrivals++
 	var best *AppServer
 	for _, s := range c.servers {
@@ -119,26 +119,9 @@ func (c *Cluster) Submit(service float64, done func()) bool {
 		c.rejected++
 		return false
 	}
-	wrapped := func() {
-		c.served++
-		if done != nil {
-			done()
-		}
-	}
-	if !best.Submit(service, wrapped) {
+	if !best.Submit(service, done) {
 		c.rejected++
 		return false
 	}
 	return true
-}
-
-// SubmitTimed routes a job like Submit and reports the sojourn time to
-// done via the engine clock.
-func (c *Cluster) SubmitTimed(eng *sim.Engine, service float64, done func(sojourn float64)) bool {
-	start := eng.Now()
-	return c.Submit(service, func() {
-		if done != nil {
-			done(sim.ToSeconds(eng.Now() - start))
-		}
-	})
 }

@@ -137,16 +137,63 @@ func TestClusterEmptyRejects(t *testing.T) {
 	}
 }
 
-func TestSubmitTimedReportsSojourn(t *testing.T) {
+func TestClusterSubmitCompletesAtSojourn(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c, _ := bootCluster(t, eng, 1, 0)
 	var sojourn float64
-	c.SubmitTimed(eng, 2.0, func(s float64) { sojourn = s })
+	servedAtDone := uint64(0)
+	c.Submit(2.0, func(killed bool) {
+		if killed {
+			t.Error("completed job reported killed")
+		}
+		sojourn = sim.ToSeconds(eng.Now())
+		servedAtDone = c.Served()
+	})
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sojourn-2.0) > 1e-9 {
 		t.Fatalf("sojourn = %v, want 2", sojourn)
+	}
+	if servedAtDone != 1 {
+		t.Fatalf("Served = %d inside done, want 1 (counted before the callback)", servedAtDone)
+	}
+}
+
+// BenchmarkClusterSubmit measures one request through the balancer and
+// a processor-sharing server: least-connections routing, admission, and
+// the completion that pops it, at a steady 64 jobs in flight on each of
+// eight servers.
+func BenchmarkClusterSubmit(b *testing.B) {
+	eng := sim.NewEngine(1)
+	dc := cloud.NewDatacenter(eng, cloud.Config{
+		Name:         "b",
+		Hosts:        8,
+		HostCapacity: cloud.Resources{CPU: 16, Mem: 64, Disk: 500},
+	})
+	c := NewCluster("web")
+	for i := 0; i < 8; i++ {
+		vm, err := dc.Provision(cloud.InstanceSpec{
+			Name: "m", Res: cloud.Resources{CPU: 2, Mem: 4, Disk: 10},
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Add(NewAppServer(eng, vm, 0))
+	}
+	for eng.Pending() > 0 && eng.Now() == 0 {
+		eng.Step() // instant boots
+	}
+	rng := sim.NewRNG(2)
+	var done func(bool)
+	done = func(bool) { c.Submit(0.01+rng.Float64()*0.1, done) }
+	for i := 0; i < 8*64; i++ {
+		c.Submit(0.01+rng.Float64()*0.1, done)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
 	}
 }
 

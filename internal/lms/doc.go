@@ -14,7 +14,12 @@
 //   - NewAppServer binds a processor-sharing server to a cloud.VM;
 //     NewCluster load-balances a fleet of them. Together they are the
 //     serving path every request-level scenario run measures latency
-//     through.
+//     through. Cluster.Submit is the one way in: a job's done callback
+//     fires once, with killed=false when the job completes or
+//     killed=true when a host failure aborts it (AppServer.Kill). Jobs
+//     sit by value in each server's heap and the completion callback is
+//     bound once per server, so the serving path allocates nothing per
+//     request.
 //   - NewSession models one student's stateful session with periodic
 //     autosave — the unit of "lost work" when the network drops
 //     (figure5's §III risk).

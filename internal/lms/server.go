@@ -1,8 +1,6 @@
 package lms
 
 import (
-	"container/heap"
-
 	"elearncloud/internal/cloud"
 	"elearncloud/internal/sim"
 )
@@ -18,6 +16,9 @@ import (
 // admitted at accumulator value P completes when the accumulator reaches
 // P+s. Completions therefore pop from a min-heap in threshold order,
 // making every operation O(log n) even with hundreds of concurrent jobs.
+//
+// The steady state allocates nothing: jobs live by value in the heap's
+// backing array, and the completion callback is bound once per server.
 type AppServer struct {
 	eng *sim.Engine
 	vm  *cloud.VM
@@ -30,39 +31,74 @@ type AppServer struct {
 	lastUpdate sim.Time
 	lastSpeed  float64
 	completion *sim.Event
+	onComplete func() // s.complete, bound once
 
 	retired bool
 	onIdle  func()
 
+	// cluster is the balancer the server was added to, whose served
+	// count each completion also increments (nil when standalone).
+	cluster  *Cluster
 	served   uint64
 	rejected uint64
 }
 
 type psJob struct {
-	id        int
 	threshold float64 // progress value at which the job completes
-	done      func()
+	id        int
+	done      func(killed bool)
 }
 
-// jobHeap is a min-heap on (threshold, id).
-type jobHeap []*psJob
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, j int) bool {
-	if h[i].threshold != h[j].threshold {
-		return h[i].threshold < h[j].threshold
+// before is the heap order: (threshold, id) ascending. ids are unique
+// per server, so the order is strict and the pop sequence does not
+// depend on the heap's internal layout.
+func (a *psJob) before(b *psJob) bool {
+	if a.threshold != b.threshold {
+		return a.threshold < b.threshold
 	}
-	return h[i].id < h[j].id
+	return a.id < b.id
 }
-func (h jobHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*psJob)) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	j := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return j
+
+// jobHeap is a binary min-heap of jobs held by value.
+type jobHeap []psJob
+
+func (h *jobHeap) push(j psJob) {
+	*h = append(*h, j)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q[i].before(&q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *jobHeap) pop() psJob {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = psJob{} // release the callback
+	q = q[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && q[l].before(&q[least]) {
+			least = l
+		}
+		if r < n && q[r].before(&q[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // NewAppServer attaches a server to a VM. maxJobs bounds concurrent
@@ -74,13 +110,15 @@ func NewAppServer(eng *sim.Engine, vm *cloud.VM, maxJobs int) *AppServer {
 	if maxJobs <= 0 {
 		maxJobs = 256
 	}
-	return &AppServer{
+	s := &AppServer{
 		eng:        eng,
 		vm:         vm,
 		maxJobs:    maxJobs,
 		lastUpdate: eng.Now(),
 		lastSpeed:  vm.SpeedFactor(),
 	}
+	s.onComplete = s.complete
+	return s
 }
 
 // VM returns the server's virtual machine.
@@ -106,8 +144,9 @@ func (s *AppServer) Accepting() bool {
 // Submit admits a job with the given CPU service demand (seconds at
 // nominal speed) and returns true, or returns false if the server is
 // retired, its VM is not running, or the admission limit is reached.
-// done fires when the job completes.
-func (s *AppServer) Submit(service float64, done func()) bool {
+// done (optional) fires once: with killed=false when the job completes,
+// or with killed=true when Kill aborts it.
+func (s *AppServer) Submit(service float64, done func(killed bool)) bool {
 	if !s.Accepting() {
 		s.rejected++
 		return false
@@ -116,9 +155,8 @@ func (s *AppServer) Submit(service float64, done func()) bool {
 		service = 1e-6
 	}
 	s.advance()
-	j := &psJob{id: s.nextJob, threshold: s.progress + service, done: done}
+	s.jobs.push(psJob{threshold: s.progress + service, id: s.nextJob, done: done})
 	s.nextJob++
-	heap.Push(&s.jobs, j)
 	s.reschedule()
 	return true
 }
@@ -172,33 +210,46 @@ func (s *AppServer) reschedule() {
 		remaining = 0
 	}
 	wait := sim.Seconds(remaining * float64(len(s.jobs)) / speed)
-	s.completion = s.eng.Schedule(wait, "lms/complete", func() {
-		s.completion = nil
-		s.advance()
-		j := heap.Pop(&s.jobs).(*psJob)
-		s.served++
-		if j.done != nil {
-			j.done()
-		}
-		s.reschedule()
-	})
+	s.completion = s.eng.Schedule(wait, "lms/complete", s.onComplete)
 }
 
-// Kill aborts all in-flight jobs without invoking their callbacks and
-// returns how many were aborted. Used when a VM dies under the server
-// (host failure) — clients see these as errors.
+// complete fires the head job's completion: the server's and its
+// cluster's served counts first, then the job's callback.
+func (s *AppServer) complete() {
+	s.completion = nil
+	s.advance()
+	j := s.jobs.pop()
+	s.served++
+	if s.cluster != nil {
+		s.cluster.served++
+	}
+	if j.done != nil {
+		j.done(false)
+	}
+	s.reschedule()
+}
+
+// Kill aborts all in-flight jobs, telling each job's callback it was
+// killed, and returns how many were aborted. Used when a VM dies under
+// the server (host failure) — clients see these as errors. The server
+// is retired first, so no callback can resubmit to it.
 func (s *AppServer) Kill() int {
 	if s.completion != nil {
 		s.eng.Cancel(s.completion)
 		s.completion = nil
 	}
-	n := len(s.jobs)
+	jobs := s.jobs
 	s.jobs = nil
 	s.retired = true
+	for _, j := range jobs {
+		if j.done != nil {
+			j.done(true)
+		}
+	}
 	if s.onIdle != nil {
 		cb := s.onIdle
 		s.onIdle = nil
 		cb()
 	}
-	return n
+	return len(jobs)
 }

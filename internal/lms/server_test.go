@@ -40,7 +40,7 @@ func TestSingleJobTakesServiceTime(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var doneAt sim.Time
-	if !s.Submit(2.0, func() { doneAt = eng.Now() }) {
+	if !s.Submit(2.0, func(bool) { doneAt = eng.Now() }) {
 		t.Fatal("Submit rejected")
 	}
 	if err := eng.Run(time.Minute); err != nil {
@@ -58,8 +58,8 @@ func TestProcessorSharingSlowsConcurrentJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var t1, t2 sim.Time
-	s.Submit(1.0, func() { t1 = eng.Now() })
-	s.Submit(1.0, func() { t2 = eng.Now() })
+	s.Submit(1.0, func(bool) { t1 = eng.Now() })
+	s.Submit(1.0, func(bool) { t2 = eng.Now() })
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func TestProcessorSharingShortJobOverlap(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
 	var shortDone, longDone sim.Time
-	s.Submit(3.0, func() { longDone = eng.Now() })
+	s.Submit(3.0, func(bool) { longDone = eng.Now() })
 	eng.Schedule(time.Second, "short", func() {
-		s.Submit(0.5, func() { shortDone = eng.Now() })
+		s.Submit(0.5, func(bool) { shortDone = eng.Now() })
 	})
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -139,16 +139,25 @@ func TestRetireIdleServerSignalsImmediately(t *testing.T) {
 func TestKillAbortsJobs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	s := bootServer(t, eng, 0)
-	completed := false
-	s.Submit(1.0, func() { completed = true })
-	s.Submit(1.0, nil)
+	completed, killed := 0, 0
+	s.Submit(1.0, func(k bool) {
+		if k {
+			killed++
+		} else {
+			completed++
+		}
+	})
+	s.Submit(1.0, nil) // a nil callback is skipped, but the job still counts
 	if n := s.Kill(); n != 2 {
 		t.Fatalf("Kill aborted %d, want 2", n)
+	}
+	if killed != 1 {
+		t.Fatalf("kill callback fired %d times, want 1", killed)
 	}
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if completed {
+	if completed != 0 {
 		t.Fatal("killed job still completed")
 	}
 	if s.Active() != 0 || s.Accepting() {
@@ -183,7 +192,7 @@ func TestInterferenceSlowsService(t *testing.T) {
 	}
 	s := NewAppServer(eng, vm, 0)
 	var doneAt sim.Time
-	s.Submit(1.0, func() { doneAt = eng.Now() })
+	s.Submit(1.0, func(bool) { doneAt = eng.Now() })
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -255,5 +264,29 @@ func TestSubmitToUnbootedVMRejected(t *testing.T) {
 	s := NewAppServer(eng, vm, 0)
 	if s.Submit(1, nil) {
 		t.Fatal("job admitted to provisioning VM")
+	}
+}
+
+// Property: the value heap pops in (threshold, id) order whatever the
+// push order, ties on threshold broken by id — the order completions
+// fire in, and so part of every run's event stream.
+func TestJobHeapPopsInOrder(t *testing.T) {
+	f := func(thresholds []uint8) bool {
+		var h jobHeap
+		for id, th := range thresholds {
+			h.push(psJob{threshold: float64(th % 16), id: id})
+		}
+		prev := psJob{threshold: -1}
+		for len(h) > 0 {
+			j := h.pop()
+			if !prev.before(&j) {
+				return false
+			}
+			prev = j
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -19,6 +19,10 @@
 //   - BuildTopology(engine, profile) assembles the user→datacenter
 //     Topology for a scenario run from Links (NewLink: latency
 //     distribution + bandwidth) joined into Paths (NewPath).
+//   - Path.Begin / Path.End count the flows sharing each link for the
+//     span of one response transfer; the count is what divides a
+//     shared link's bandwidth. They are plain counters, so the request
+//     path registers and releases flows without allocating.
 //   - NewFailureProcess(engine, rng, mtbf, mttr) drives a link's
 //     up/down process on the virtual clock; Steady() is the
 //     never-fails instance for experiments that isolate other risks.

@@ -46,21 +46,17 @@ func (l *Link) Up() bool { return l.fail == nil || l.fail.Up() }
 // Failure returns the attached failure process, or nil.
 func (l *Link) Failure() *FailureProcess { return l.fail }
 
-// BeginTransfer registers a flow on the link and returns a release
-// function. Concurrency degrades effective bandwidth for everyone
-// (fair-share approximation).
-func (l *Link) BeginTransfer() (release func()) {
-	l.transfers++
-	released := false
-	return func() {
-		if released {
-			return
-		}
-		released = true
-		l.transfers--
-		if l.transfers < 0 {
-			panic(fmt.Sprintf("network: link %q transfer count went negative", l.Name))
-		}
+// Begin registers a flow on the link. Concurrency degrades effective
+// bandwidth for everyone (fair-share approximation). Every Begin must be
+// paired with exactly one End.
+func (l *Link) Begin() { l.transfers++ }
+
+// End releases a flow registered by Begin. It panics if the link has no
+// flow to release.
+func (l *Link) End() {
+	l.transfers--
+	if l.transfers < 0 {
+		panic(fmt.Sprintf("network: link %q transfer count went negative", l.Name))
 	}
 }
 
@@ -143,16 +139,16 @@ func (p *Path) TransferTime(rng *sim.RNG, payloadBytes float64) float64 {
 	return lat + bits/(p.BottleneckMbps()*1e6)
 }
 
-// BeginTransfer registers a flow on every link of the path; the returned
-// release frees all of them.
-func (p *Path) BeginTransfer() (release func()) {
-	releases := make([]func(), len(p.links))
-	for i, l := range p.links {
-		releases[i] = l.BeginTransfer()
+// Begin registers a flow on every link of the path.
+func (p *Path) Begin() {
+	for _, l := range p.links {
+		l.Begin()
 	}
-	return func() {
-		for _, r := range releases {
-			r()
-		}
+}
+
+// End releases a flow registered by Begin on every link of the path.
+func (p *Path) End() {
+	for _, l := range p.links {
+		l.End()
 	}
 }

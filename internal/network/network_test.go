@@ -36,20 +36,19 @@ func TestLinkConstructorPanics(t *testing.T) {
 
 func TestLinkBandwidthSharing(t *testing.T) {
 	l := NewLink("shared", sim.Constant(0.001), 100)
-	r1 := l.BeginTransfer()
-	r2 := l.BeginTransfer()
+	l.Begin()
+	l.Begin()
 	if l.ActiveTransfers() != 2 {
 		t.Fatalf("ActiveTransfers = %d", l.ActiveTransfers())
 	}
 	if l.EffectiveMbps() != 50 {
 		t.Fatalf("EffectiveMbps = %v, want 50 with 2 flows", l.EffectiveMbps())
 	}
-	r1()
-	r1() // double release is a no-op
+	l.End()
 	if l.ActiveTransfers() != 1 {
 		t.Fatalf("ActiveTransfers = %d after release", l.ActiveTransfers())
 	}
-	r2()
+	l.End()
 	if l.EffectiveMbps() != 100 {
 		t.Fatalf("EffectiveMbps = %v after all released", l.EffectiveMbps())
 	}
@@ -58,13 +57,25 @@ func TestLinkBandwidthSharing(t *testing.T) {
 func TestDedicatedLinkIgnoresConcurrency(t *testing.T) {
 	l := NewLink("dsl", sim.Constant(0.01), 20)
 	l.Dedicated = true
-	r1 := l.BeginTransfer()
-	r2 := l.BeginTransfer()
+	l.Begin()
+	l.Begin()
 	if l.EffectiveMbps() != 20 {
 		t.Fatalf("dedicated EffectiveMbps = %v, want full 20", l.EffectiveMbps())
 	}
-	r1()
-	r2()
+	l.End()
+	l.End()
+}
+
+func TestLinkEndWithoutBeginPanics(t *testing.T) {
+	l := NewLink("shared", sim.Constant(0.001), 100)
+	l.Begin()
+	l.End()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("End past zero flows must panic")
+		}
+	}()
+	l.End()
 }
 
 func TestBuildTopologyLastMileIsDedicated(t *testing.T) {
@@ -103,17 +114,34 @@ func TestPathLatencyAndTransfer(t *testing.T) {
 	}
 }
 
-func TestPathBeginTransferTouchesAllLinks(t *testing.T) {
+func TestPathBeginEndTouchesAllLinks(t *testing.T) {
 	a := NewLink("a", sim.Constant(0.01), 100)
 	b := NewLink("b", sim.Constant(0.01), 100)
 	p := NewPath("p", a, b)
-	release := p.BeginTransfer()
+	p.Begin()
 	if a.ActiveTransfers() != 1 || b.ActiveTransfers() != 1 {
-		t.Fatal("BeginTransfer missed a link")
+		t.Fatal("Begin missed a link")
 	}
-	release()
+	p.End()
 	if a.ActiveTransfers() != 0 || b.ActiveTransfers() != 0 {
-		t.Fatal("release missed a link")
+		t.Fatal("End missed a link")
+	}
+}
+
+// BenchmarkPathTransfer measures one response transfer's network work
+// on a three-hop path, in the order the scenario runner does it: sample
+// the transfer time, Begin the flow, End it when the transfer lands.
+func BenchmarkPathTransfer(b *testing.B) {
+	rng := sim.NewRNG(1)
+	p := NewPath("p",
+		NewLink("a", sim.Constant(0.01), 20),
+		NewLink("b", sim.Constant(0.02), 1000),
+		NewLink("c", sim.Constant(0.001), 10000))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = p.TransferTime(rng, 1e5)
+		p.Begin()
+		p.End()
 	}
 }
 

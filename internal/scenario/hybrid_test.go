@@ -71,7 +71,7 @@ func TestHybridPlanIsPureAndAligned(t *testing.T) {
 // Every DES window must conserve requests across its seams: nothing is
 // created or destroyed at a boundary, so arrivals inside the window
 // are exactly the requests that completed, were rejected, were lost
-// offline, or were carried out still in flight. The identity is a
+// offline, were killed, or were carried out still in flight. The identity is a
 // genuine cross-check because CarriedOut comes from an independent
 // in-flight counter (admissions minus completions), not from
 // rearranging the same tallies.
@@ -97,15 +97,66 @@ func TestHybridWindowSeamConservation(t *testing.T) {
 			if r.Arrivals == 0 {
 				t.Fatalf("shards=%d window %d: no arrivals", shards, w.index)
 			}
-			got := r.Served + r.Rejected + r.Offline + uint64(r.CarriedOut)
+			got := r.Served + r.Rejected + r.Offline + uint64(r.KilledJobs) + uint64(r.CarriedOut)
 			if got != r.Arrivals {
-				t.Errorf("shards=%d window %d: conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d carried-out = %d",
-					shards, w.index, r.Arrivals, r.Served, r.Rejected, r.Offline, r.CarriedOut, got)
+				t.Errorf("shards=%d window %d: conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d killed + %d carried-out = %d",
+					shards, w.index, r.Arrivals, r.Served, r.Rejected, r.Offline, r.KilledJobs, r.CarriedOut, got)
 			}
 			if r.CarriedIn == 0 && w.backlog > 0 {
 				t.Errorf("shards=%d window %d: backlog of %d planned but no CarriedIn recorded", shards, w.index, w.backlog)
 			}
 		}
+	}
+}
+
+// A host failure inside a window kills real requests; each must count
+// once, as killed, and never also ride the closing seam as in-flight
+// mass that stitchHybrid adds to Served. The config is a private
+// campus whose exam crowd is struck by a host failure mid-window, so
+// the window's identity must balance with KilledJobs as its own term:
+// Arrivals == Served + Rejected + Offline + KilledJobs + CarriedOut.
+func TestHybridWindowKilledRequestsCountOnce(t *testing.T) {
+	cfg := Config{
+		Seed:              3,
+		Kind:              deploy.Private,
+		Students:          2000,
+		ReqPerStudentHour: 50,
+		Duration:          12 * time.Hour,
+		Diurnal:           workload.FlatDiurnal(),
+		Crowds: []workload.FlashCrowd{{
+			Start: 6 * time.Hour, End: 7 * time.Hour, Mult: 10, ExamTraffic: true,
+		}},
+		HostFailureAt:     6*time.Hour + 30*time.Minute,
+		HostRecoveryAfter: time.Hour,
+		HybridIntensity:   1.5,
+		HybridGuard:       10 * time.Minute,
+	}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := newFluidModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := m.desWindows()
+	if len(wins) != 1 {
+		t.Fatalf("planned %d windows, want the one around the exam crowd", len(wins))
+	}
+	w := wins[0]
+	sub := cfg
+	sub.Seed = SeedFor(cfg.Seed, "hybrid/0")
+	r, err := shardedRun(sub, nil, &w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.KilledJobs != 5 || r.CarriedOut != 3 {
+		t.Errorf("KilledJobs = %d, CarriedOut = %d; want 5 and 3 (the killed requests used to ride out too, as CarriedOut = 8)",
+			r.KilledJobs, r.CarriedOut)
+	}
+	got := r.Served + r.Rejected + r.Offline + uint64(r.KilledJobs) + uint64(r.CarriedOut)
+	if got != r.Arrivals {
+		t.Errorf("conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d killed + %d carried-out = %d",
+			r.Arrivals, r.Served, r.Rejected, r.Offline, r.KilledJobs, r.CarriedOut, got)
 	}
 }
 

@@ -206,44 +206,9 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	}
 
 	// --- request handling ------------------------------------------------
-	var (
-		svcRNG      = eng.Stream("service")
-		payRNG      = eng.Stream("payload")
-		netRNG      = eng.Stream("net")
-		egressBytes float64
-		// liveReqs counts real requests admitted to a cluster whose
-		// transfer has not yet completed — the queue mass a hybrid
-		// window hands back across its closing seam (CarriedOut). It is
-		// maintained independently of the outcome counters so the seam
-		// conservation identity is a genuine cross-check, not an echo.
-		liveReqs int
-	)
-	finish := func(path *network.Path, billEgress bool, payload float64, start sim.Time) func() {
-		return func() {
-			tt := path.TransferTime(netRNG, payload)
-			release := path.BeginTransfer()
-			eng.Schedule(sim.Seconds(tt), "transfer", func() {
-				release()
-				lat := sim.ToSeconds(eng.Now() - start)
-				res.Latency.Observe(lat)
-				windowHist.Observe(lat)
-				res.Served++
-				liveReqs--
-				if billEgress {
-					egressBytes += payload
-				}
-			})
-		}
-	}
-	// admit wraps Cluster.Submit for real (non-backlog) requests so
-	// liveReqs tracks every admission that finish will later settle.
-	admit := func(cluster *lms.Cluster, service float64, done func()) bool {
-		if cluster.Submit(service, done) {
-			liveReqs++
-			return true
-		}
-		return false
-	}
+	svcRNG := eng.Stream("service")
+	payRNG := eng.Stream("payload")
+	reqs := &requestPath{eng: eng, netRNG: eng.Stream("net"), res: res, windowHist: windowHist}
 	handle := func(a workload.Arrival) {
 		spec := cat.Spec(a.Class)
 		service := spec.Service.Sample(svcRNG)
@@ -275,7 +240,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 			if !hit {
 				videoPath = topo.ToCloud
 			}
-			if admit(cluster, service, finish(videoPath, false, payload, eng.Now())) {
+			if reqs.admit(cluster, service, videoPath, false, payload) {
 				return
 			}
 			res.Rejected++
@@ -288,7 +253,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		const burstLoad = 8
 		if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning &&
 			privCluster.Load() > burstLoad && topo.ToCloud.Up() {
-			if admit(pubCluster, service, finish(topo.ToCloud, true, payload, eng.Now())) {
+			if reqs.admit(pubCluster, service, topo.ToCloud, true, payload) {
 				res.PolicyViolations++
 				return
 			}
@@ -297,13 +262,13 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 			res.Offline++
 			return
 		}
-		if admit(cluster, service, finish(path, public, payload, eng.Now())) {
+		if reqs.admit(cluster, service, path, public, payload) {
 			return
 		}
 		// Admission failed. Hybrids may still burst sensitive work
 		// publicly unless pinning is strict (Table 4's policy knob).
 		if cfg.Kind == deploy.Hybrid && spec.Sensitive && !cfg.StrictPinning && topo.ToCloud.Up() {
-			if admit(pubCluster, service, finish(topo.ToCloud, true, payload, eng.Now())) {
+			if reqs.admit(pubCluster, service, topo.ToCloud, true, payload) {
 				res.PolicyViolations++
 				return
 			}
@@ -318,28 +283,32 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	} else {
 		stream = gen.Stream(eng.Stream("workload"), streamStart)
 	}
-	var pump func()
-	pump = func() {
-		a, ok := stream.Next(endAt)
-		if !ok {
-			return
+	// Only one arrival is ever pending, so a single callback serves them
+	// all: it handles next, then draws and schedules the one after.
+	var (
+		next   workload.Arrival
+		arrive func()
+	)
+	pump := func() {
+		if a, ok := stream.Next(endAt); ok {
+			next = a
+			eng.ScheduleAt(a.At, "arrival", arrive)
 		}
-		eng.ScheduleAt(a.At, "arrival", func() {
-			res.Arrivals++
-			handle(a)
-			pump()
-		})
+	}
+	arrive = func() {
+		res.Arrivals++
+		handle(next)
+		pump()
 	}
 	pump()
 
 	// --- hybrid window backlog seeding -------------------------------------
 	// The queue mass the fluid model says is in flight when the window
 	// opens re-materializes as synthetic mean-service jobs, injected
-	// once the warm fleet has booted. They settle liveness only — no
-	// latency observation, no Served count, no egress — so the window's
-	// statistics describe real requests, while its queues start at the
-	// fluid state instead of empty.
-	backlogDone := func() {} // shared no-op completion for synthetic jobs
+	// once the warm fleet has booted. They carry no callback — no
+	// latency observation, no Served or KilledJobs count, no egress — so
+	// the window's statistics describe real requests, while its queues
+	// start at the fluid state instead of empty.
 	if win != nil && cfg.Kind != deploy.Desktop {
 		n := int(math.Round(float64(win.backlog) * share))
 		backlogCluster := pubCluster
@@ -348,7 +317,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		}
 		eng.ScheduleAt(startAt+bootGrace, "hybrid-backlog", func() {
 			for i := 0; i < n; i++ {
-				if backlogCluster.Submit(meanSvc, backlogDone) {
+				if backlogCluster.Submit(meanSvc, nil) {
 					res.CarriedIn++
 				}
 			}
@@ -391,7 +360,10 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	// and recovered in fluid time.
 	if cfg.HostFailureAt > 0 && privFleet != nil && cfg.HostFailureAt >= startAt && cfg.HostFailureAt < endAt {
 		eng.ScheduleAt(cfg.HostFailureAt, "host-failure", func() {
-			res.KilledJobs += privFleet.FailHost(0)
+			// Each killed real request settles its own slot, counting
+			// itself in KilledJobs; synthetic backlog jobs are not
+			// requests and do not count.
+			privFleet.FailHost(0)
 			dep.PrivateDC.FailHost(0)
 			eng.Schedule(cfg.HostRecoveryAfter, "host-repair", func() {
 				dep.PrivateDC.RepairHost(0)
@@ -451,7 +423,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	if privFleet != nil {
 		res.PeakServers += privFleet.Peak()
 	}
-	res.EgressGB = egressBytes / 1e9
+	res.EgressGB = reqs.egressBytes / 1e9
 	if edge != nil {
 		res.EgressGB += edge.OriginGB()
 		res.CDNGB = edge.ServedGB()
@@ -487,10 +459,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		// The requests still in flight at the closing seam are handed
 		// back to the fluid side; billing happens once at the hybrid
 		// level, over the whole horizon, not per window.
-		res.CarriedOut = liveReqs
-		if res.CarriedOut < 0 {
-			res.CarriedOut = 0
-		}
+		res.CarriedOut = reqs.live
 		return res, nil
 	}
 

@@ -227,7 +227,9 @@ type Result struct {
 	// cache's realized hit ratio (both zero when the CDN is disabled).
 	CDNGB       float64
 	CDNHitRatio float64
-	// KilledJobs counts in-flight requests destroyed by host failure.
+	// KilledJobs counts in-flight requests destroyed by host failure
+	// (real requests only; a hybrid window's synthetic backlog jobs do
+	// not count).
 	KilledJobs int
 
 	// LostWork is cumulative unsaved work destroyed by disconnects
@@ -246,7 +248,7 @@ type Result struct {
 
 	// Arrivals counts generated request arrivals before routing — the
 	// left-hand side of the seam conservation identity
-	// Arrivals == Served + Rejected + Offline + CarriedOut.
+	// Arrivals == Served + Rejected + Offline + KilledJobs + CarriedOut.
 	Arrivals uint64
 	// CarriedIn and CarriedOut are a hybrid DES window's seam state:
 	// synthetic backlog requests injected at the window's opening

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 )
 
 // This file is the bucketed timer wheel — the engine's default event
@@ -50,14 +51,17 @@ const (
 	ringIndex = 1 << 30
 )
 
-// eventBefore is the queue's total order: (At, seq) ascending. seq is
+// eventCmp is the queue's total order: (At, seq) ascending. seq is
 // unique per engine, so the order is strict and deterministic.
-func eventBefore(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+func eventCmp(a, b *Event) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
+
+// eventBefore reports whether a precedes b in eventCmp's order.
+func eventBefore(a, b *Event) bool { return eventCmp(a, b) < 0 }
 
 type timerWheel struct {
 	buckets [wheelBuckets][]*Event
@@ -197,10 +201,10 @@ func (w *timerWheel) migrate() {
 // sortCurrent orders the freshly-current bucket by (At, seq). Canceled
 // leftovers from earlier rotations sort wherever their stale times put
 // them and are swept on contact; live entries come out in exact queue
-// order.
+// order. The order is strict and total, so the unstable sort has one
+// possible result; slices.SortFunc sorts without allocating.
 func (w *timerWheel) sortCurrent() {
-	b := w.buckets[w.cur]
-	if len(b) > 1 {
-		sort.Slice(b, func(i, j int) bool { return eventBefore(b[i], b[j]) })
+	if b := w.buckets[w.cur]; len(b) > 1 {
+		slices.SortFunc(b, eventCmp)
 	}
 }
