@@ -79,9 +79,13 @@ func TestRunListUnknownTag(t *testing.T) {
 	}
 }
 
+// TestRunBadFlag: undefined flags fail, including the retired perf
+// record flags (performance is measured by perfbench, not elbench).
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}, io.Discard); err == nil {
-		t.Fatal("bad flag accepted")
+	for _, flag := range []string{"-bogus", "-json", "-compare"} {
+		if err := run([]string{flag}, io.Discard); err == nil {
+			t.Errorf("%s accepted", flag)
+		}
 	}
 }
 
@@ -121,7 +125,7 @@ func TestRunParallelFlag(t *testing.T) {
 // filter keeps the check affordable in CI — table5 exercises a real
 // DES batch through the shared pool; the multi-experiment shared-pool
 // case is pinned by TestSharedPoolDeterminism in internal/experiments,
-// and the full 19-artifact identity was verified manually via cmp.
+// and full-suite identity by the CI golden job at -parallel 1 and 4.
 func TestRunParallelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a DES experiment three times; skipped in -short mode")
@@ -157,7 +161,7 @@ func TestRunFidelityFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"no id", []string{"-fidelity", "des"}, "-fidelity needs -id"},
-		{"with mode", []string{"-id", "table11", "-fidelity", "des", "-json"}, "does not combine"},
+		{"with mode", []string{"-id", "table11", "-fidelity", "des", "-list"}, "does not combine"},
 		{"with verify", []string{"-id", "table11", "-fidelity", "auto", "-verify"}, "does not combine"},
 		{"shards+fluid", []string{"-id", "table11", "-fidelity", "fluid", "-shards", "4"}, "no event loop to shard"},
 		{"shards+des", []string{"-id", "table11", "-fidelity", "des", "-shards", "4"}, "do not combine"},

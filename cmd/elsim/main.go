@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"elearncloud/internal/deploy"
@@ -27,14 +28,53 @@ func main() {
 	}
 }
 
+// The choices each name flag accepts, spelled exactly as results print
+// them; the flags' help strings list the same names.
+var (
+	models  = span(deploy.Public, deploy.Desktop)
+	scalers = span(scenario.ScalerFixed, scenario.ScalerOracle)
+	access  = []network.AccessProfile{network.CampusLAN, network.UrbanBroadband, network.RuralDSL}
+)
+
+func accessName(p network.AccessProfile) string { return p.Name }
+
+// span lists every value of an enumeration from first to last.
+func span[T ~int](first, last T) []T {
+	var out []T
+	for v := first; v <= last; v++ {
+		out = append(out, v)
+	}
+	return out
+}
+
+// names joins the options' names for a help string.
+func names[T any](opts []T, name func(T) string) string {
+	out := make([]string, len(opts))
+	for i, o := range opts {
+		out[i] = name(o)
+	}
+	return strings.Join(out, "|")
+}
+
+// pick returns the option called got.
+func pick[T any](what, got string, opts []T, name func(T) string) (T, error) {
+	for _, o := range opts {
+		if name(o) == got {
+			return o, nil
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q (want %s)", what, got, names(opts, name))
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("elsim", flag.ContinueOnError)
 	var (
-		model    = fs.String("model", "public", "deployment model: public|private|hybrid|desktop")
+		model    = fs.String("model", "public", "deployment model: "+names(models, deploy.Kind.String))
 		students = fs.Int("students", 1000, "student population")
 		hours    = fs.Float64("hours", 6, "simulated hours")
-		access   = fs.String("access", "urban-broadband", "access profile: campus-lan|urban-broadband|rural-dsl")
-		scaler   = fs.String("scaler", "reactive", "autoscaler: fixed|reactive|scheduled|predictive")
+		accessIn = fs.String("access", "urban-broadband", "access profile: "+names(access, accessName))
+		scaler   = fs.String("scaler", "reactive", "autoscaler: "+names(scalers, scenario.ScalerKind.String))
 		exam     = fs.Bool("exam", false, "inject a 10x exam flash crowd mid-run")
 		threats  = fs.Bool("threats", false, "enable the security threat model")
 		useCDN   = fs.Bool("cdn", false, "serve video through an edge CDN")
@@ -51,39 +91,15 @@ func run(args []string) error {
 		EnableThreats: *threats,
 		EnableCDN:     *useCDN,
 	}
-	switch *model {
-	case "public":
-		cfg.Kind = deploy.Public
-	case "private":
-		cfg.Kind = deploy.Private
-	case "hybrid":
-		cfg.Kind = deploy.Hybrid
-	case "desktop":
-		cfg.Kind = deploy.Desktop
-	default:
-		return fmt.Errorf("unknown model %q", *model)
+	var err error
+	if cfg.Kind, err = pick("model", *model, models, deploy.Kind.String); err != nil {
+		return err
 	}
-	switch *access {
-	case "campus-lan":
-		cfg.Access = network.CampusLAN
-	case "urban-broadband":
-		cfg.Access = network.UrbanBroadband
-	case "rural-dsl":
-		cfg.Access = network.RuralDSL
-	default:
-		return fmt.Errorf("unknown access profile %q", *access)
+	if cfg.Access, err = pick("access profile", *accessIn, access, accessName); err != nil {
+		return err
 	}
-	switch *scaler {
-	case "fixed":
-		cfg.Scaler = scenario.ScalerFixed
-	case "reactive":
-		cfg.Scaler = scenario.ScalerReactive
-	case "scheduled":
-		cfg.Scaler = scenario.ScalerScheduled
-	case "predictive":
-		cfg.Scaler = scenario.ScalerPredictive
-	default:
-		return fmt.Errorf("unknown scaler %q", *scaler)
+	if cfg.Scaler, err = pick("scaler", *scaler, scalers, scenario.ScalerKind.String); err != nil {
+		return err
 	}
 	if *exam {
 		mid := cfg.Duration / 2

@@ -45,3 +45,25 @@ func TestRunErrorMentionsValue(t *testing.T) {
 		t.Fatalf("err = %v, want mention of bad value", err)
 	}
 }
+
+// TestRunAcceptsEveryName: each name flag accepts every name its type
+// prints, and an unknown name fails with the accepted list.
+func TestRunAcceptsEveryName(t *testing.T) {
+	flags := map[string][]string{
+		"-model":  {"public", "private", "hybrid", "desktop"},
+		"-access": {"campus-lan", "urban-broadband", "rural-dsl"},
+		"-scaler": {"fixed", "reactive", "scheduled", "predictive", "growth-fit", "oracle"},
+	}
+	for flag, accepted := range flags {
+		for _, name := range accepted {
+			err := run([]string{flag, name, "-students", "50", "-hours", "0.25", "-seed", "3"})
+			if err != nil {
+				t.Errorf("%s %s: %v", flag, name, err)
+			}
+		}
+		err := run([]string{flag, "unknown"})
+		if err == nil || !strings.Contains(err.Error(), strings.Join(accepted, "|")) {
+			t.Errorf("%s unknown: err = %v, want the accepted names listed", flag, err)
+		}
+	}
+}

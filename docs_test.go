@@ -1,11 +1,15 @@
 package elearncloud_test
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"elearncloud/internal/experiments"
 )
 
 // runCheckDocs executes scripts/check-docs.sh from the repo root with
@@ -182,5 +186,45 @@ func TestCheckDocsAnalyzerCrossCheck(t *testing.T) {
 	}
 	if !strings.Contains(out, "mapdisorder") || !strings.Contains(out, "does not register") {
 		t.Fatalf("unknown-analyzer failure does not name the analyzer:\n%s", out)
+	}
+}
+
+// artifactCount matches the phrases docs use to count the registry,
+// also when a line break splits them: "N artifacts", "N goldens", "N
+// regenerable tables/figures", "N tables and figures", "N experiments",
+// "all N" and "all-N golden".
+var artifactCount = regexp.MustCompile(`(?i)\ball[\s-]+(\d+)\b|(?:^|[\s(])(\d+)\s+(?:regenerable\s+)?(?:golden|artifact|experiment|tables(?:\s+and\s+|/)figure)s?\b`)
+
+// TestDocsArtifactCount keeps the registry the one source for the
+// artifact count: every count phrase in the docs, the CI workflow and
+// the verify skill must equal len(experiments.All()).
+func TestDocsArtifactCount(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, "README.md", "ARCHITECTURE.md",
+		filepath.Join(".github", "workflows", "ci.yml"),
+		filepath.Join(".claude", "skills", "verify", "SKILL.md"))
+	want := fmt.Sprint(len(experiments.All()))
+	seen := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, m := range artifactCount.FindAllStringSubmatchIndex(text, -1) {
+			seen++
+			start := max(m[2], m[4])
+			if got := text[start:max(m[3], m[5])]; got != want {
+				line := strings.Count(text[:start], "\n") + 1
+				phrase := strings.Join(strings.Fields(strings.TrimLeft(text[m[0]:m[1]], "(")), " ")
+				t.Errorf("%s:%d: %q counts %s, the registry has %s", f, line, phrase, got, want)
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no artifact-count phrase found; the pattern no longer matches the docs")
 	}
 }

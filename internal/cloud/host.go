@@ -34,9 +34,6 @@ func (h *Host) Free() Resources { return h.Capacity.Sub(h.allocated) }
 // Utilization returns the bottleneck utilization fraction in [0, 1].
 func (h *Host) Utilization() float64 { return h.allocated.Dominant(h.Capacity) }
 
-// NumVMs returns the count of VMs placed on this host.
-func (h *Host) NumVMs() int { return len(h.vms) }
-
 // Failed reports whether the host is marked failed (e.g. physical damage).
 func (h *Host) Failed() bool { return h.failed }
 

@@ -64,14 +64,8 @@ func (v *VM) State() VMState { return v.state }
 // Host returns the host the VM is placed on (nil after termination).
 func (v *VM) Host() *Host { return v.host }
 
-// ProvisionedAt returns when provisioning began.
-func (v *VM) ProvisionedAt() sim.Time { return v.provisioned }
-
 // ReadyAt returns when the VM finished booting (zero until then).
 func (v *VM) ReadyAt() sim.Time { return v.bootComplete }
-
-// TerminatedAt returns when the VM was released (zero until then).
-func (v *VM) TerminatedAt() sim.Time { return v.terminated }
 
 // RunningHours returns the billable wall-clock hours between provisioning
 // and termination (or now, if still running). Partial hours are fractional

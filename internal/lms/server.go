@@ -133,9 +133,6 @@ func (s *AppServer) Served() uint64 { return s.served }
 // Rejected returns the number of admission-rejected jobs.
 func (s *AppServer) Rejected() uint64 { return s.rejected }
 
-// Retired reports whether the server has stopped accepting work.
-func (s *AppServer) Retired() bool { return s.retired }
-
 // Accepting reports whether a new job would be admitted right now.
 func (s *AppServer) Accepting() bool {
 	return !s.retired && s.vm.State() == cloud.VMRunning && len(s.jobs) < s.maxJobs

@@ -19,7 +19,6 @@ type Session struct {
 	// UserID identifies the learner.
 	UserID int
 
-	started   sim.Time
 	lastSave  sim.Time
 	lostWork  time.Duration
 	saves     int
@@ -29,11 +28,8 @@ type Session struct {
 // NewSession starts a session at virtual time now, in the connected
 // state, with a savepoint taken at start.
 func NewSession(userID int, now sim.Time) *Session {
-	return &Session{UserID: userID, started: now, lastSave: now, connected: true}
+	return &Session{UserID: userID, lastSave: now, connected: true}
 }
-
-// Started returns the session start time.
-func (s *Session) Started() sim.Time { return s.started }
 
 // Saves returns the number of successful savepoints.
 func (s *Session) Saves() int { return s.saves }

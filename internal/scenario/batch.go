@@ -67,9 +67,8 @@ func SeedFor(seed uint64, name string) uint64 { return sim.SeedFor(seed, name) }
 //
 // The pool also keeps lock-free execution telemetry — jobs run, helpers
 // recruited, cross-batch hand-offs, peak concurrency, token-idle time —
-// snapshotted by Stats and attributable per scope via WithMeter (see
-// telemetry.go). Telemetry never feeds back into scheduling, so it
-// cannot perturb the determinism contract above.
+// snapshotted by Stats (see telemetry.go). Telemetry never feeds back
+// into scheduling, so it cannot perturb the determinism contract above.
 type Pool struct {
 	// tokens carries free helper tokens, each stamped with the time it
 	// was parked so Stats can report cumulative token-idle time.
@@ -77,10 +76,7 @@ type Pool struct {
 	// can transiently donate their own slot without blocking.
 	tokens  chan time.Time
 	workers int
-	// stats is shared by every WithMeter view of the pool; meter, when
-	// non-nil, additionally attributes jobs run through this view.
-	stats *poolStats
-	meter *Meter
+	stats   poolStats
 }
 
 // NewPool returns a pool enforcing a global concurrency cap of workers
@@ -94,7 +90,6 @@ func NewPool(workers int) *Pool {
 	p := &Pool{
 		tokens:  make(chan time.Time, 2*workers),
 		workers: workers,
-		stats:   &poolStats{},
 	}
 	//detlint:allow seedrule token-idle telemetry stamp; never reaches job results or RNG state
 	now := time.Now()
@@ -120,20 +115,9 @@ func (p *Pool) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a helper token if one is free right now.
-func (p *Pool) TryAcquire() bool {
-	select {
-	case parked := <-p.tokens:
-		p.stats.noteIdle(parked)
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a token taken by Acquire or TryAcquire. Releasing
-// more tokens than were acquired corrupts the concurrency cap, so an
-// overfull pool panics.
+// Release returns a token taken by Acquire. Releasing more tokens than
+// were acquired corrupts the concurrency cap, so an overfull pool
+// panics.
 func (p *Pool) Release() {
 	select {
 	case p.tokens <- time.Now(): //detlint:allow seedrule token-idle telemetry stamp; never reaches job results or RNG state
@@ -193,7 +177,6 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 			return
 		}
 		p.stats.jobs.Add(1)
-		p.meter.add()
 		p.stats.notePeak()
 		if err := fn(i); err != nil {
 			errs[i] = err
@@ -284,13 +267,6 @@ func (p *Pool) ForEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// ForEach runs fn(i) for every i in [0, n) on a one-off pool of workers
-// goroutines (<= 0 means DefaultWorkers); workers == 1 is the reference
-// serial path. See Pool.ForEach for the error contract.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return NewPool(workers).ForEach(n, fn)
-}
-
 // Job is one named, independent scenario execution within a batch.
 type Job struct {
 	// Name identifies the job; names must be unique within a batch
@@ -353,12 +329,6 @@ func (p *Pool) RunAll(jobs []Job) ([]JobResult, error) {
 	return out, nil
 }
 
-// RunAll executes jobs on a one-off pool of workers goroutines; see
-// Pool.RunAll.
-func RunAll(jobs []Job, workers int) ([]JobResult, error) {
-	return NewPool(workers).RunAll(jobs)
-}
-
 // Batch accumulates named jobs and runs them through RunAll. The zero
 // value is not usable; construct with NewBatch.
 type Batch struct {
@@ -390,9 +360,6 @@ func (b *Batch) add(name string, cfg Config, fluid bool) *Batch {
 	return b
 }
 
-// Len returns the number of queued jobs.
-func (b *Batch) Len() int { return len(b.jobs) }
-
 // RunOn executes every queued job on the shared pool and returns the
 // collected results. This is how nested batches stay work-conserving:
 // an experiment handed the suite-wide pool runs its jobs on the same
@@ -411,21 +378,11 @@ func (b *Batch) RunOn(p *Pool) (*BatchResults, error) {
 	return &BatchResults{ordered: ordered, byName: byName}, nil
 }
 
-// Run executes every queued job on a one-off pool of workers goroutines
-// (<= 0 means DefaultWorkers) and returns the collected results.
-func (b *Batch) Run(workers int) (*BatchResults, error) {
-	return b.RunOn(NewPool(workers))
-}
-
-// BatchResults holds a batch's outcomes, addressable by submission order
-// or by job name.
+// BatchResults holds a batch's outcomes, addressable by job name.
 type BatchResults struct {
 	ordered []JobResult
 	byName  map[string]int
 }
-
-// All returns every result in submission order.
-func (r *BatchResults) All() []JobResult { return r.ordered }
 
 // Result returns the request-level result of the named job. It panics if
 // the job does not exist or was a fluid job — both are programming

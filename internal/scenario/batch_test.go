@@ -55,12 +55,12 @@ func TestRunAllWorkerCountInvariant(t *testing.T) {
 		{Name: "public-fluid", Cfg: smallCfg(11, deploy.Public), Fluid: true},
 		{Name: "desktop", Cfg: smallCfg(11, deploy.Desktop)},
 	}
-	serial, err := RunAll(jobs, 1)
+	serial, err := NewPool(1).RunAll(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 16} {
-		par, err := RunAll(jobs, workers)
+		par, err := NewPool(workers).RunAll(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestRunAllFirstErrorWins(t *testing.T) {
 		{Name: "bad-3", Cfg: bad},
 	}
 	for _, workers := range []int{1, 4} {
-		_, err := RunAll(jobs, workers)
+		_, err := NewPool(workers).RunAll(jobs)
 		if err == nil {
 			t.Fatalf("workers=%d: invalid job accepted", workers)
 		}
@@ -120,14 +120,14 @@ func TestRunAllFirstErrorWins(t *testing.T) {
 // addressing and seed derivation, so the batch refuses them up front.
 func TestRunAllRejectsBadNames(t *testing.T) {
 	t.Parallel()
-	if _, err := RunAll([]Job{{Name: "", Cfg: smallCfg(1, deploy.Public)}}, 1); err == nil {
+	if _, err := NewPool(1).RunAll([]Job{{Name: "", Cfg: smallCfg(1, deploy.Public)}}); err == nil {
 		t.Fatal("empty job name accepted")
 	}
 	dup := []Job{
 		{Name: "x", Cfg: smallCfg(1, deploy.Public)},
 		{Name: "x", Cfg: smallCfg(1, deploy.Private)},
 	}
-	if _, err := RunAll(dup, 4); err == nil {
+	if _, err := NewPool(4).RunAll(dup); err == nil {
 		t.Fatal("duplicate job name accepted")
 	}
 }
@@ -138,8 +138,8 @@ func TestBatchSeedDerivation(t *testing.T) {
 	t.Parallel()
 	cfg := smallCfg(0, deploy.Public) // zero seed: derive
 	b := NewBatch(7).Add("a", cfg).Add("b", cfg)
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d", b.Len())
+	if len(b.jobs) != 2 {
+		t.Fatalf("queued %d jobs, want 2", len(b.jobs))
 	}
 	if got, want := b.jobs[0].Cfg.Seed, SeedFor(7, "a"); got != want {
 		t.Fatalf("derived seed = %d, want SeedFor(7, a) = %d", got, want)
@@ -161,7 +161,7 @@ func TestBatchResultLookup(t *testing.T) {
 	b := NewBatch(11).
 		Add("des", smallCfg(11, deploy.Public)).
 		AddFluid("fluid", smallCfg(11, deploy.Public))
-	res, err := b.Run(2)
+	res, err := b.RunOn(NewPool(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +171,8 @@ func TestBatchResultLookup(t *testing.T) {
 	if res.Fluid("fluid").Cost.Total() <= 0 {
 		t.Fatal("fluid job billed nothing")
 	}
-	if len(res.All()) != 2 || res.All()[0].Name != "des" {
-		t.Fatalf("All() order wrong: %+v", res.All())
+	if len(res.ordered) != 2 || res.ordered[0].Name != "des" {
+		t.Fatalf("submission order wrong: %+v", res.ordered)
 	}
 	expectPanic(t, func() { res.Result("missing") })
 	expectPanic(t, func() { res.Result("fluid") })
@@ -304,8 +304,8 @@ func TestPoolNestedBatchDeterminism(t *testing.T) {
 }
 
 // TestPoolAcquireRelease: the exported semaphore surface — context
-// cancellation unblocks Acquire, TryAcquire never blocks, and tokens
-// round-trip.
+// cancellation unblocks Acquire, a pool hands out exactly workers-1
+// helper tokens, and tokens round-trip.
 func TestPoolAcquireRelease(t *testing.T) {
 	t.Parallel()
 	p := NewPool(3) // two helper tokens
@@ -313,11 +313,11 @@ func TestPoolAcquireRelease(t *testing.T) {
 	if err := p.Acquire(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !p.TryAcquire() {
-		t.Fatal("second helper token not available")
+	if err := p.Acquire(ctx); err != nil {
+		t.Fatal("second helper token not available:", err)
 	}
-	if p.TryAcquire() {
-		t.Fatal("acquired more helper tokens than workers-1")
+	if n := len(p.tokens); n != 0 {
+		t.Fatalf("%d helper tokens left after taking workers-1", n)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
@@ -349,7 +349,7 @@ func expectPanic(t *testing.T, fn func()) {
 func TestForEachSkipsAfterFailure(t *testing.T) {
 	t.Parallel()
 	var ran [8]bool
-	err := ForEach(8, 1, func(i int) error {
+	err := NewPool(1).ForEach(8, func(i int) error {
 		ran[i] = true
 		if i == 2 {
 			return fmt.Errorf("boom at %d", i)
@@ -362,7 +362,7 @@ func TestForEachSkipsAfterFailure(t *testing.T) {
 	if ran[3] || ran[7] {
 		t.Fatal("serial ForEach kept running after a failure")
 	}
-	if err := ForEach(0, 4, func(int) error { return fmt.Errorf("never") }); err != nil {
+	if err := NewPool(4).ForEach(0, func(int) error { return fmt.Errorf("never") }); err != nil {
 		t.Fatalf("empty ForEach returned %v", err)
 	}
 }

@@ -27,8 +27,7 @@
 //
 // The pool keeps lock-free telemetry of its own realized utilization —
 // jobs run, helpers recruited, cross-batch handoffs, peak concurrency,
-// token-idle time — snapshotted with Pool.Stats and attributable to a
-// scope (one experiment) via Pool.WithMeter; see telemetry.go and
+// token-idle time — snapshotted with Pool.Stats; see telemetry.go and
 // ARCHITECTURE.md's Telemetry section. Telemetry never feeds back into
 // scheduling, so it cannot perturb determinism.
 package scenario

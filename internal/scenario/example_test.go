@@ -13,7 +13,7 @@ import (
 // executes them on a worker pool. The jobs are added with a zero
 // Config.Seed, so each gets its own seed derived from (batch seed, job
 // name) — worker count changes only how fast the results arrive, never
-// what they are, and All() reports them in submission order.
+// what they are, and each result is looked up by its job name.
 func ExampleBatch() {
 	cfg := func(kind deploy.Kind) scenario.Config {
 		return scenario.Config{
@@ -27,13 +27,13 @@ func ExampleBatch() {
 	runs, err := scenario.NewBatch(7).
 		Add("public", cfg(deploy.Public)).
 		Add("private", cfg(deploy.Private)).
-		Run(2)
+		RunOn(scenario.NewPool(2))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	for _, r := range runs.All() {
-		fmt.Printf("%s served requests: %v\n", r.Name, r.Res.Served > 0)
+	for _, name := range []string{"public", "private"} {
+		fmt.Printf("%s served requests: %v\n", name, runs.Result(name).Served > 0)
 	}
 	// Output:
 	// public served requests: true
@@ -75,19 +75,14 @@ func ExamplePool() {
 // ExamplePool_stats reads the pool's realized-utilization telemetry.
 // A one-worker pool is the serial reference path, so its counters are
 // deterministic: every job ran on the calling goroutine, nothing was
-// recruited or handed off, and concurrency peaked at one. WithMeter
-// carves a per-scope job count out of the shared pool — this is how
-// cmd/elbench attributes jobs to each experiment in its -json record.
+// recruited or handed off, and concurrency peaked at one.
 func ExamplePool_stats() {
 	pool := scenario.NewPool(1)
-	var exp1, exp2 scenario.Meter
-	_ = pool.WithMeter(&exp1).ForEach(3, func(int) error { return nil })
-	_ = pool.WithMeter(&exp2).ForEach(5, func(int) error { return nil })
+	_ = pool.ForEach(3, func(int) error { return nil })
+	_ = pool.ForEach(5, func(int) error { return nil })
 	s := pool.Stats()
 	fmt.Printf("jobs=%d recruits=%d handoffs=%d peak=%d\n",
 		s.JobsRun, s.HelperRecruits, s.Handoffs, s.PeakConcurrent)
-	fmt.Printf("exp1=%d exp2=%d\n", exp1.Jobs(), exp2.Jobs())
 	// Output:
 	// jobs=8 recruits=0 handoffs=0 peak=1
-	// exp1=3 exp2=5
 }

@@ -144,45 +144,3 @@ func TestPoolStatsSnapshotWhileRunning(t *testing.T) {
 		t.Errorf("TokenIdle = %v, want > 0 after a token was parked then acquired", s.TokenIdle)
 	}
 }
-
-// TestPoolMeterAttribution: meters carve per-scope job counts out of a
-// shared pool — each view attributes exactly its own jobs (including
-// nested ForEach calls made through the view), the unmetered pool
-// attributes nothing, and the global JobsRun sees everything.
-func TestPoolMeterAttribution(t *testing.T) {
-	t.Parallel()
-	p := NewPool(2)
-	var a, b Meter
-	if err := p.WithMeter(&a).ForEach(3, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	vb := p.WithMeter(&b)
-	err := vb.ForEach(2, func(int) error {
-		return vb.ForEach(2, func(int) error { return nil })
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ForEach(4, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if a.Jobs() != 3 {
-		t.Errorf("meter a = %d jobs, want 3", a.Jobs())
-	}
-	if b.Jobs() != 6 {
-		t.Errorf("meter b = %d jobs, want 6 (2 outer + 4 nested)", b.Jobs())
-	}
-	if got := p.Stats().JobsRun; got != 13 {
-		t.Errorf("global JobsRun = %d, want 13", got)
-	}
-
-	// A nil pool yields a usable metered one-off pool.
-	var nilPool *Pool
-	var c Meter
-	if err := nilPool.WithMeter(&c).ForEach(2, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if c.Jobs() != 2 {
-		t.Errorf("meter on nil pool = %d jobs, want 2", c.Jobs())
-	}
-}

@@ -10,8 +10,8 @@ import (
 // runner updates as it schedules work, snapshotted by Pool.Stats. The
 // paper's quantitative argument is about realized utilization of
 // deployment models; these counters let the runner report its *own*
-// realized utilization — how busy the -parallel tokens actually were —
-// alongside every regenerated artifact (cmd/elbench -json).
+// realized utilization — how busy the pool's tokens actually were —
+// next to the workload it ran (perfbench's pool.* census).
 //
 // Two rules keep the telemetry honest and cheap:
 //
@@ -24,8 +24,7 @@ import (
 //     determinism contract (see batch.go) is untouched: two runs that
 //     differ only in their stats are byte-identical in their artifacts.
 
-// poolStats is the internal collector, shared by every metered view of
-// a pool (see Pool.WithMeter).
+// poolStats is the pool's internal collector.
 type poolStats struct {
 	jobs      atomic.Uint64
 	recruits  atomic.Uint64
@@ -155,7 +154,7 @@ type PoolStats struct {
 // Stats snapshots the pool's telemetry. Safe to call at any time, from
 // any goroutine, including while batches are running.
 func (p *Pool) Stats() PoolStats {
-	s := p.stats
+	s := &p.stats
 	out := PoolStats{
 		Workers:        p.workers,
 		JobsRun:        s.jobs.Load(),
@@ -172,38 +171,4 @@ func (p *Pool) Stats() PoolStats {
 	out.HybridDESHours = s.hybridDESHours
 	s.mu.Unlock()
 	return out
-}
-
-// Meter attributes jobs to one caller-defined unit of work — typically
-// one experiment — while it executes on a shared pool. The pool's own
-// counters are global; a meter carves out a per-scope job count without
-// the scope needing its own pool. The zero value is ready to use.
-type Meter struct {
-	jobs atomic.Uint64
-}
-
-// Jobs reports how many jobs ran through views carrying this meter.
-func (m *Meter) Jobs() uint64 { return m.jobs.Load() }
-
-// add is nil-safe so the batch runner can call it unconditionally.
-func (m *Meter) add() {
-	if m != nil {
-		m.jobs.Add(1)
-	}
-}
-
-// WithMeter returns a view of the pool that attributes every job run
-// through it (including nested batches handed the view) to m. The view
-// shares the pool's tokens and global stats — it is the same pool for
-// scheduling purposes — so cmd/elbench hands each experiment a metered
-// view of the one suite-wide pool and reads per-experiment job counts
-// off the meters afterwards. A nil receiver yields a metered one-off
-// DefaultWorkers pool.
-func (p *Pool) WithMeter(m *Meter) *Pool {
-	if p == nil {
-		p = NewPool(0)
-	}
-	view := *p
-	view.meter = m
-	return &view
 }

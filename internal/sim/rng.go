@@ -85,14 +85,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("sim: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Bernoulli returns true with probability p (clamped to [0, 1]).
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {
@@ -174,16 +166,6 @@ func (r *RNG) Poisson(lambda float64) int {
 		return 0
 	}
 	return int(n + 0.5)
-}
-
-// Zipf returns a sample in [1, n] following a Zipf distribution with
-// exponent s (s > 0, typically near 1). Implemented by inverse-CDF over a
-// cached harmonic table would be faster, but workloads draw from modest n,
-// so rejection-free linear search on the CDF is acceptable and allocation
-// free when used through ZipfGen.
-func (r *RNG) Zipf(n int, s float64) int {
-	g := NewZipfGen(r, n, s)
-	return g.Sample()
 }
 
 // ZipfGen samples from a Zipf distribution over [1, n] with exponent s,
