@@ -140,15 +140,7 @@ func MeasureInputs(cfg MeasureConfig) (*Inputs, error) {
 		in.ExamErrorRate[kind] = exam.ErrorRate()
 
 		// Security: analytic risk for the model's asset placement.
-		assets := lms.NewAssetStore(cfg.Students/25+1, cfg.Students)
-		switch kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Private:
-			assets.PlaceAll(lms.OnPrivate)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		assets := deploy.AssetsFor(kind, deploy.DefaultHybridPolicy(), cfg.Students/25+1, cfg.Students)
 		in.AnnualSensitiveRisk[kind] = security.ConfigFor(kind).AnnualSensitiveRisk(assets)
 
 		// Portability: cost of leaving.

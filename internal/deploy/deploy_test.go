@@ -258,6 +258,9 @@ func TestBuildDesktop(t *testing.T) {
 	if len(d.Datacenters()) != 0 {
 		t.Fatal("Datacenters() wrong")
 	}
+	if d.Assets.Count(lms.OnPublic) != 0 {
+		t.Fatal("desktop baseline put assets on public cloud")
+	}
 }
 
 func TestBuildValidation(t *testing.T) {
@@ -297,5 +300,31 @@ func TestHybridPrivateSizedToShare(t *testing.T) {
 	if dHalf.PrivateHosts >= dFull.PrivateHosts {
 		t.Fatalf("hybrid private side (%d hosts) should be smaller than full private (%d)",
 			dHalf.PrivateHosts, dFull.PrivateHosts)
+	}
+}
+
+// TestSizeMatchesBuild pins the one sizing rule: Size, which the flow
+// model bills against, returns exactly the counts Build realizes.
+func TestSizeMatchesBuild(t *testing.T) {
+	for _, kind := range []Kind{Public, Private, Hybrid, Desktop} {
+		for _, share := range []float64{0, 0.3, 1} {
+			spec := baseSpec(kind)
+			spec.ExpectedPeakRPS = 300
+			spec.Policy = HybridPolicy{SensitivePrivate: true, PrivateBaseShare: share}
+			sz, err := Size(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := Build(sim.NewEngine(1), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sz != d.Sizing {
+				t.Errorf("%v share %v: Size %+v != Build %+v", kind, share, sz, d.Sizing)
+			}
+			if (d.PrivateDC != nil) != (sz.PrivateHosts > 0) {
+				t.Errorf("%v share %v: private DC %v with %d private hosts", kind, share, d.PrivateDC != nil, sz.PrivateHosts)
+			}
+		}
 	}
 }

@@ -12,12 +12,21 @@
 //     artifact sweeps.
 //   - Build(engine, Spec) constructs a Deployment: the cloud.Datacenter
 //     set a model of that Kind gets, sized for the Spec's population.
+//     Size(Spec) returns the same Sizing (servers at peak, the fixed
+//     private fleet, the owned hosts) without an engine, for the flow
+//     model.
+//   - AssetsFor(kind, policy, courses, students) is the one place asset
+//     placement is decided: public models put everything with the
+//     provider, a hybrid pins exam questions and grades private when
+//     its policy says so, private and desktop keep everything in-house.
+//     Build, every scenario bill and every analytic artifact call it.
 //   - DefaultProvider is the 2013 public-cloud catalog (InstanceType
 //     prices the scenario runs bill against); DefaultHybridPolicy is
 //     §IV.C's "distribution of units" — which request classes stay on
 //     the private side and which burst to public, the policy table4
 //     ablates.
 //   - ServersForPeak and VMsPerHost are the shared sizing arithmetic
-//     (peak RPS → server count, host resources → VM packing) used by
-//     both the builder and the fluid cost studies.
+//     (peak RPS → server count, host resources → VM packing) behind
+//     Size, also used directly by the scalers, the invariants and the
+//     federation study.
 package deploy

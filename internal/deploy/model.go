@@ -62,6 +62,20 @@ type Spec struct {
 	PrivateHostCapacity cloud.Resources
 }
 
+// Sizing is what a Spec implies before anything runs: the peak-sized
+// server count, the fixed private fleet and the owned hosts carrying it.
+type Sizing struct {
+	// ServersAtPeak is app servers needed at peak.
+	ServersAtPeak int
+	// PrivateServers is the fixed private fleet: all of ServersAtPeak
+	// for Private, the policy's steady share of it (at least one) for
+	// Hybrid, none for Public and Desktop.
+	PrivateServers int
+	// PrivateHosts is the number of owned hosts carrying PrivateServers
+	// (0 unless a private side exists).
+	PrivateHosts int
+}
+
 // Deployment is a built deployment: datacenters on an engine plus the
 // asset placement the model implies.
 type Deployment struct {
@@ -73,7 +87,7 @@ type Deployment struct {
 	// PrivateDC is the owned, fixed-capacity side (nil for public-only
 	// and desktop).
 	PrivateDC *cloud.Datacenter
-	// Assets is the institution's inventory, placed per the model.
+	// Assets is the institution's inventory, placed by AssetsFor.
 	Assets *lms.AssetStore
 	// InstanceType is the public flavor rented.
 	InstanceType InstanceType
@@ -83,11 +97,26 @@ type Deployment struct {
 	Policy HybridPolicy
 	// Provider echoes the catalog used.
 	Provider *ProviderCatalog
-	// ServersAtPeak is the sizing result: app servers needed at peak.
-	ServersAtPeak int
-	// PrivateHosts is the number of owned hosts (0 unless private side
-	// exists).
-	PrivateHosts int
+	// Sizing is the server and host counts the Spec implies.
+	Sizing
+}
+
+// AssetsFor is the one asset-placement rule: the inventory of an
+// institution with courses and students, placed as a model of kind
+// places it. Public puts everything with the provider; Hybrid pins exam
+// questions and grades private when the policy says so and puts the
+// rest public; Private and Desktop keep everything in-house.
+func AssetsFor(kind Kind, p HybridPolicy, courses, students int) *lms.AssetStore {
+	st := lms.NewAssetStore(courses, students)
+	switch {
+	case kind == Hybrid && p.SensitivePrivate:
+		st.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
+	case kind == Public, kind == Hybrid:
+		st.PlaceAll(lms.OnPublic)
+	default:
+		st.PlaceAll(lms.OnPrivate)
+	}
+	return st
 }
 
 // VMsPerHost returns how many VMs of the given flavor fit on one host,
@@ -130,21 +159,22 @@ func ServersForPeak(peakRPS, meanServiceSec, targetUtil float64) int {
 	return n
 }
 
-// Build realizes a Spec on the engine. It creates datacenters but does
-// not provision VMs — the autoscaler (or fixed-fleet bootstrap) in the
-// scenario package does that, because VM counts are a runtime concern.
-func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
-	if eng == nil {
-		return nil, fmt.Errorf("deploy: Build with nil engine")
-	}
+// normalize validates spec, fills in its defaults and returns the
+// public flavor it rents.
+func (spec *Spec) normalize() (InstanceType, error) {
 	if spec.Students <= 0 {
-		return nil, fmt.Errorf("deploy: Students = %d, need > 0", spec.Students)
+		return InstanceType{}, fmt.Errorf("deploy: Students = %d, need > 0", spec.Students)
 	}
 	if spec.Courses < 0 {
-		return nil, fmt.Errorf("deploy: Courses = %d, need >= 0", spec.Courses)
+		return InstanceType{}, fmt.Errorf("deploy: Courses = %d, need >= 0", spec.Courses)
 	}
 	if err := spec.Policy.Validate(); err != nil {
-		return nil, err
+		return InstanceType{}, err
+	}
+	switch spec.Kind {
+	case Public, Private, Hybrid, Desktop:
+	default:
+		return InstanceType{}, fmt.Errorf("deploy: unknown kind %v", spec.Kind)
 	}
 	if spec.Provider == nil {
 		spec.Provider = DefaultProvider()
@@ -160,14 +190,57 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 		// packing bottleneck, CPU is.
 		spec.PrivateHostCapacity = cloud.Resources{CPU: 16, Mem: 64, Disk: 8000}
 	}
-	itype, err := spec.Provider.Type(spec.InstanceTypeName)
+	return spec.Provider.Type(spec.InstanceTypeName)
+}
+
+// size computes a normalized spec's Sizing.
+func (spec *Spec) size(itype InstanceType) Sizing {
+	sz := Sizing{ServersAtPeak: ServersForPeak(spec.ExpectedPeakRPS, spec.MeanServiceSec, spec.TargetUtil)}
+	switch spec.Kind {
+	case Private:
+		sz.PrivateServers = sz.ServersAtPeak
+	case Hybrid:
+		// The private side is sized for its steady share only; bursts
+		// ride the public cloud.
+		sz.PrivateServers = int(math.Ceil(float64(sz.ServersAtPeak) * spec.Policy.PrivateBaseShare))
+		if sz.PrivateServers < 1 {
+			sz.PrivateServers = 1
+		}
+	}
+	if sz.PrivateServers > 0 {
+		// Pack by the bottleneck dimension, not just CPU: a flavor with
+		// outsized disk or memory demands must not oversubscribe hosts,
+		// or the "peak-sized" fleet silently comes up short.
+		perHost := VMsPerHost(spec.PrivateHostCapacity, itype.Res)
+		sz.PrivateHosts = (sz.PrivateServers + perHost - 1) / perHost
+	}
+	return sz
+}
+
+// Size returns the server and host counts spec implies, exactly as
+// Build sizes them, without an engine: the flow model bills them.
+func Size(spec Spec) (Sizing, error) {
+	itype, err := spec.normalize()
+	if err != nil {
+		return Sizing{}, err
+	}
+	return spec.size(itype), nil
+}
+
+// Build realizes a Spec on the engine. It creates datacenters but does
+// not provision VMs — the autoscaler (or fixed-fleet bootstrap) in the
+// scenario package does that, because VM counts are a runtime concern.
+func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
+	if eng == nil {
+		return nil, fmt.Errorf("deploy: Build with nil engine")
+	}
+	itype, err := spec.normalize()
 	if err != nil {
 		return nil, err
 	}
-
 	d := &Deployment{
 		Kind:         spec.Kind,
-		Assets:       lms.NewAssetStore(spec.Courses, spec.Students),
+		Assets:       AssetsFor(spec.Kind, spec.Policy, spec.Courses, spec.Students),
 		InstanceType: itype,
 		Provider:     spec.Provider,
 		Policy:       spec.Policy,
@@ -179,11 +252,10 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 			Res:       itype.Res,
 			BootDelay: sim.LogNormal(40, 0.3),
 		},
-		ServersAtPeak: ServersForPeak(spec.ExpectedPeakRPS, spec.MeanServiceSec, spec.TargetUtil),
+		Sizing: spec.size(itype),
 	}
-
-	newPublic := func() *cloud.Datacenter {
-		return cloud.NewDatacenter(eng, cloud.Config{
+	if spec.Kind == Public || spec.Kind == Hybrid {
+		d.PublicDC = cloud.NewDatacenter(eng, cloud.Config{
 			Name:         "public",
 			Hosts:        4, // grows elastically
 			HostCapacity: cloud.Resources{CPU: 32, Mem: 128, Disk: 4000},
@@ -192,20 +264,8 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 			Elastic:      true,
 		})
 	}
-	hostsFor := func(servers int) int {
-		// Pack by the bottleneck dimension, not just CPU: a flavor with
-		// outsized disk or memory demands must not oversubscribe hosts,
-		// or the "peak-sized" fleet silently comes up short.
-		perHost := VMsPerHost(spec.PrivateHostCapacity, itype.Res)
-		h := (servers + perHost - 1) / perHost
-		if h < 1 {
-			h = 1
-		}
-		return h
-	}
-	newPrivate := func(servers int) *cloud.Datacenter {
-		d.PrivateHosts = hostsFor(servers)
-		return cloud.NewDatacenter(eng, cloud.Config{
+	if d.PrivateHosts > 0 {
+		d.PrivateDC = cloud.NewDatacenter(eng, cloud.Config{
 			Name:         "private",
 			Hosts:        d.PrivateHosts,
 			HostCapacity: spec.PrivateHostCapacity,
@@ -214,35 +274,8 @@ func Build(eng *sim.Engine, spec Spec) (*Deployment, error) {
 			Elastic:      false,
 		})
 	}
-
-	switch spec.Kind {
-	case Public:
-		d.PublicDC = newPublic()
-		d.Assets.PlaceAll(lms.OnPublic)
-	case Private:
-		d.PrivateDC = newPrivate(d.ServersAtPeak)
-		d.Assets.PlaceAll(lms.OnPrivate)
-	case Hybrid:
-		d.PublicDC = newPublic()
-		// The private side is sized for its steady share only; bursts
-		// ride the public cloud.
-		privServers := int(math.Ceil(float64(d.ServersAtPeak) * spec.Policy.PrivateBaseShare))
-		if privServers < 1 {
-			privServers = 1
-		}
-		d.PrivateDC = newPrivate(privServers)
-		if spec.Policy.SensitivePrivate {
-			d.Assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		} else {
-			d.Assets.PlaceAll(lms.OnPublic)
-		}
-	case Desktop:
-		// No datacenters: locally installed software. Assets live on
-		// campus machines (private).
-		d.Assets.PlaceAll(lms.OnPrivate)
-	default:
-		return nil, fmt.Errorf("deploy: unknown kind %v", spec.Kind)
-	}
+	// Desktop builds no datacenters: locally installed software on
+	// campus machines.
 	return d, nil
 }
 

@@ -293,15 +293,7 @@ func Figure6Security(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	err := pool.ForEach(len(specs), func(i int) error {
 		s := specs[i]
 		eng := sim.NewEngine(seed)
-		assets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-		switch s.kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Private:
-			assets.PlaceAll(lms.OnPrivate)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		assets := deploy.AssetsFor(s.kind, deploy.DefaultHybridPolicy(), collegeStudents/25, collegeStudents)
 		m, err := security.NewThreatModel(eng, eng.Stream("threat"), s.cfg, assets)
 		if err != nil {
 			return err
@@ -335,8 +327,7 @@ func Figure7Lockin(seed uint64, _ *scenario.Pool) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"Figure 7: cost to bring the system back in-house vs lock-in index",
 		"lock-in index", "re-engineering", "egress", "total", "calendar time", "typical for")
-	assets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-	assets.PlaceAll(lms.OnPublic)
+	assets := deploy.AssetsFor(deploy.Public, deploy.DefaultHybridPolicy(), collegeStudents/25, collegeStudents)
 	model := migrate.DefaultCostModel()
 	typical := map[float64]string{
 		deploy.Private.DefaultLockinIndex(): "private",

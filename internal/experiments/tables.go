@@ -32,9 +32,8 @@ func Table1Merits(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	deskRun := runs.Result("desktop-steady")
 
 	// §III.6 improbability: annual sensitive-asset risk.
-	cloudAssets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-	cloudAssets.PlaceAll(lms.OnPublic)
-	deskAssets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
+	cloudAssets := deploy.AssetsFor(deploy.Public, deploy.DefaultHybridPolicy(), collegeStudents/25, collegeStudents)
+	deskAssets := deploy.AssetsFor(deploy.Desktop, deploy.DefaultHybridPolicy(), collegeStudents/25, collegeStudents)
 	cloudRisk := security.ConfigFor(deploy.Public).AnnualSensitiveRisk(cloudAssets)
 	deskRisk := security.ConfigFor(deploy.Desktop).AnnualSensitiveRisk(deskAssets)
 
@@ -121,15 +120,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	// Risk 2 — security: analytic annual sensitive risk.
 	risk := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
-		assets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-		switch kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Private:
-			assets.PlaceAll(lms.OnPrivate)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		assets := deploy.AssetsFor(kind, deploy.DefaultHybridPolicy(), collegeStudents/25, collegeStudents)
 		risk[kind] = fmt.Sprintf("%.2f/yr", security.ConfigFor(kind).AnnualSensitiveRisk(assets))
 	}
 	t.AddRow("security: sensitive-asset compromise rate",
@@ -138,13 +129,7 @@ func Table2Risks(seed uint64, pool *scenario.Pool) (*metrics.Table, error) {
 	// Risk 3 — portability: cost of leaving the current arrangement.
 	mig := make(map[deploy.Kind]string)
 	for _, kind := range deploy.Kinds() {
-		assets := lms.NewAssetStore(collegeStudents/25, collegeStudents)
-		switch kind {
-		case deploy.Public:
-			assets.PlaceAll(lms.OnPublic)
-		case deploy.Hybrid:
-			assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-		}
+		assets := deploy.AssetsFor(kind, deploy.DefaultHybridPolicy(), collegeStudents/25, collegeStudents)
 		plan, err := migrate.NewPlan(migrate.LockinProfile{
 			Index:      kind.DefaultLockinIndex(),
 			Components: 12,
@@ -225,15 +210,13 @@ func Table4HybridAblation(seed uint64, pool *scenario.Pool) (*metrics.Table, err
 		res := runs.Result(v.name)
 		// Risk grows with the share of sensitive traffic that ever
 		// touches the public side: approximate by realized violations.
-		assets := lms.NewAssetStore(desStudents/25, desStudents)
-		assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
+		assets := deploy.AssetsFor(deploy.Hybrid, deploy.DefaultHybridPolicy(), desStudents/25, desStudents)
 		baseRisk := security.ConfigFor(deploy.Hybrid).AnnualSensitiveRisk(assets)
 		violShare := 0.0
 		if res.Served > 0 {
 			violShare = float64(res.PolicyViolations) / float64(res.Served)
 		}
-		pubAssets := lms.NewAssetStore(desStudents/25, desStudents)
-		pubAssets.PlaceAll(lms.OnPublic)
+		pubAssets := deploy.AssetsFor(deploy.Public, deploy.DefaultHybridPolicy(), desStudents/25, desStudents)
 		pubRisk := security.ConfigFor(deploy.Public).AnnualSensitiveRisk(pubAssets)
 		risk := baseRisk + violShare*(pubRisk-baseRisk)
 

@@ -54,82 +54,62 @@ func (l Location) String() string {
 	}
 }
 
-// Asset is one stored object.
-type Asset struct {
-	ID    int
-	Kind  AssetKind
-	Bytes float64
-}
-
-// AssetStore is the institution's asset inventory with a placement map.
-// The hybrid deployment policy decides placements; the security model
+// AssetStore is the institution's asset inventory, held per kind: how
+// many assets of each kind, the size of one, and where that kind lives.
+// Placement is a rule per kind, so every total is an exact product of
+// integers. The deploy package decides placements; the security model
 // scores sensitive exposure; the migration planner sums egress bytes.
 type AssetStore struct {
-	assets []Asset
-	loc    map[int]Location
+	kinds [4]stock // indexed by AssetKind-1
+}
+
+// stock is one kind's share of the inventory.
+type stock struct {
+	kind  AssetKind
+	count int
+	bytes float64 // per asset
+	loc   Location
 }
 
 // NewAssetStore builds an inventory representative of an institution with
 // the given number of courses and students: per course, bulk content and
-// an exam bundle; per student, a grade record and submissions.
+// an exam bundle; per student, a grade record and submissions. Everything
+// starts in-house.
 func NewAssetStore(courses, students int) *AssetStore {
 	if courses < 0 || students < 0 {
 		panic("lms: NewAssetStore with negative sizes")
 	}
-	st := &AssetStore{loc: make(map[int]Location)}
-	id := 0
-	add := func(kind AssetKind, bytes float64) {
-		st.assets = append(st.assets, Asset{ID: id, Kind: kind, Bytes: bytes})
-		st.loc[id] = OnPrivate // everything starts in-house
-		id++
-	}
-	for c := 0; c < courses; c++ {
-		add(CourseContent, 2e9)  // ~2 GB of video+slides per course
-		add(ExamQuestions, 20e6) // exam bundle
-	}
-	for s := 0; s < students; s++ {
-		add(Grades, 1e6)
-		add(Submissions, 50e6)
-	}
-	return st
+	return &AssetStore{kinds: [4]stock{
+		{CourseContent, courses, 2e9, OnPrivate},  // ~2 GB of video+slides per course
+		{ExamQuestions, courses, 20e6, OnPrivate}, // exam bundle
+		{Grades, students, 1e6, OnPrivate},
+		{Submissions, students, 50e6, OnPrivate},
+	}}
 }
 
 // Len returns the number of assets.
-func (st *AssetStore) Len() int { return len(st.assets) }
-
-// Assets returns a copy of the inventory.
-func (st *AssetStore) Assets() []Asset {
-	return append([]Asset(nil), st.assets...)
-}
-
-// Place moves an asset to a location. Unknown IDs panic: placement bugs
-// must not silently drop assets.
-func (st *AssetStore) Place(id int, loc Location) {
-	if _, ok := st.loc[id]; !ok {
-		panic(fmt.Sprintf("lms: Place of unknown asset %d", id))
+func (st *AssetStore) Len() int {
+	n := 0
+	for _, k := range st.kinds {
+		n += k.count
 	}
-	st.loc[id] = loc
+	return n
 }
-
-// LocationOf returns an asset's current location.
-func (st *AssetStore) LocationOf(id int) Location { return st.loc[id] }
 
 // PlaceAll moves every asset to one location (public-only or private-only
 // deployments).
 func (st *AssetStore) PlaceAll(loc Location) {
-	for id := range st.loc {
-		st.loc[id] = loc
-	}
+	st.PlaceSensitive(loc, loc)
 }
 
 // PlaceSensitive pins all sensitive assets to pin and everything else to
 // rest — the hybrid "distribution of units" policy.
 func (st *AssetStore) PlaceSensitive(pin, rest Location) {
-	for _, a := range st.assets {
-		if a.Kind.Sensitive() {
-			st.loc[a.ID] = pin
+	for i := range st.kinds {
+		if st.kinds[i].kind.Sensitive() {
+			st.kinds[i].loc = pin
 		} else {
-			st.loc[a.ID] = rest
+			st.kinds[i].loc = rest
 		}
 	}
 }
@@ -137,9 +117,9 @@ func (st *AssetStore) PlaceSensitive(pin, rest Location) {
 // Count returns how many assets are at loc.
 func (st *AssetStore) Count(loc Location) int {
 	n := 0
-	for _, l := range st.loc {
-		if l == loc {
-			n++
+	for _, k := range st.kinds {
+		if k.loc == loc {
+			n += k.count
 		}
 	}
 	return n
@@ -148,9 +128,9 @@ func (st *AssetStore) Count(loc Location) int {
 // SensitiveCount returns how many sensitive assets are at loc.
 func (st *AssetStore) SensitiveCount(loc Location) int {
 	n := 0
-	for _, a := range st.assets {
-		if a.Kind.Sensitive() && st.loc[a.ID] == loc {
-			n++
+	for _, k := range st.kinds {
+		if k.kind.Sensitive() && k.loc == loc {
+			n += k.count
 		}
 	}
 	return n
@@ -159,9 +139,9 @@ func (st *AssetStore) SensitiveCount(loc Location) int {
 // BytesAt sums the stored bytes at loc.
 func (st *AssetStore) BytesAt(loc Location) float64 {
 	var sum float64
-	for _, a := range st.assets {
-		if st.loc[a.ID] == loc {
-			sum += a.Bytes
+	for _, k := range st.kinds {
+		if k.loc == loc {
+			sum += float64(k.count) * k.bytes
 		}
 	}
 	return sum
@@ -170,18 +150,14 @@ func (st *AssetStore) BytesAt(loc Location) float64 {
 // SensitiveShare returns the fraction of sensitive assets located at loc
 // (0 when there are no sensitive assets).
 func (st *AssetStore) SensitiveShare(loc Location) float64 {
-	var total, at int
-	for _, a := range st.assets {
-		if !a.Kind.Sensitive() {
-			continue
-		}
-		total++
-		if st.loc[a.ID] == loc {
-			at++
+	total := 0
+	for _, k := range st.kinds {
+		if k.kind.Sensitive() {
+			total += k.count
 		}
 	}
 	if total == 0 {
 		return 0
 	}
-	return float64(at) / float64(total)
+	return float64(st.SensitiveCount(loc)) / float64(total)
 }

@@ -23,7 +23,10 @@
 //   - NewSession models one student's stateful session with periodic
 //     autosave — the unit of "lost work" when the network drops
 //     (figure5's §III risk).
-//   - NewAssetStore tracks where the institution's digital assets live
-//     (OnPublic/on-premise Locations), which is what the security
-//     package threatens and the migrate package has to move.
+//   - NewAssetStore is the institution's digital-asset inventory, held
+//     per AssetKind: a count, a unit size and a Location (OnPublic or
+//     OnPrivate) for each kind. It is what the security package
+//     threatens and the migrate package has to move. Placement is not
+//     decided here: deploy.AssetsFor is the one rule that places a
+//     store for a deployment model.
 package lms

@@ -75,9 +75,11 @@ type fluidModel struct {
 	gen         *workload.Generator
 	meanSvc     float64
 	meanPayload float64
-	// privServers is the fixed private fleet; pubShare is the fraction
-	// of served bytes leaving the public cloud.
+	// privServers is the fixed private fleet and privHosts the owned
+	// hosts carrying it, both as deploy sizes them; pubShare is the
+	// fraction of served bytes leaving the public cloud.
 	privServers int
+	privHosts   int
 	pubShare    float64
 	// videoByteShare and cdnHit parameterize the analytic CDN split.
 	videoByteShare float64
@@ -99,16 +101,23 @@ func newFluidModel(cfg Config) (*fluidModel, error) {
 		meanPayload: teaching.MeanPayload(cat),
 		pubShare:    1.0,
 	}
-	peakServers := deploy.ServersForPeak(gen.MaxRate(), m.meanSvc, cfg.TargetUtil)
+	sz, err := deploy.Size(deploy.Spec{
+		Kind:            cfg.Kind,
+		Students:        cfg.Students,
+		Courses:         cfg.Courses,
+		ExpectedPeakRPS: gen.MaxRate(),
+		MeanServiceSec:  m.meanSvc,
+		TargetUtil:      cfg.TargetUtil,
+		Policy:          cfg.HybridPolicy,
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.privServers, m.privHosts = sz.PrivateServers, sz.PrivateHosts
 	switch cfg.Kind {
 	case deploy.Private:
-		m.privServers = peakServers
 		m.pubShare = 0
 	case deploy.Hybrid:
-		m.privServers = int(math.Ceil(float64(peakServers) * cfg.HybridPolicy.PrivateBaseShare))
-		if m.privServers < 1 {
-			m.privServers = 1
-		}
 		// Sensitive traffic stays in-house; the rest serves publicly.
 		m.pubShare = 1 - teaching.SensitiveShare(cat)
 	case deploy.Desktop:
@@ -220,32 +229,6 @@ func (m *fluidModel) integrate(acc *fluidAccum, from, to time.Duration) {
 	}
 }
 
-// privateHosts sizes the owned hardware exactly as deploy.Build would.
-func (m *fluidModel) privateHosts() int {
-	if m.privServers <= 0 {
-		return 0
-	}
-	hostCPU := 16.0
-	perHost := int(hostCPU / 4) // m.large-shaped VMs on 16-core hosts
-	if perHost < 1 {
-		perHost = 1
-	}
-	return (m.privServers + perHost - 1) / perHost
-}
-
-// fluidAssets builds the asset store with the placement the flow model
-// bills against (shared by FluidRun and the hybrid stitcher).
-func fluidAssets(cfg Config) *lms.AssetStore {
-	assets := lms.NewAssetStore(cfg.Courses, cfg.Students)
-	switch cfg.Kind {
-	case deploy.Public:
-		assets.PlaceAll(lms.OnPublic)
-	case deploy.Hybrid:
-		assets.PlaceSensitive(lms.OnPrivate, lms.OnPublic)
-	}
-	return assets
-}
-
 // finish seals an accumulator into the final FluidResult: derived
 // scalars, downsampled series, host sizing and the bill.
 func (m *fluidModel) finish(acc *fluidAccum) (*FluidResult, error) {
@@ -264,32 +247,9 @@ func (m *fluidModel) finish(acc *fluidAccum) (*FluidResult, error) {
 	res.Rate = res.Rate.Downsample(downsampleTo)
 	res.Servers = res.Servers.Downsample(downsampleTo)
 
-	// Private hosts sized exactly as deploy.Build would size them.
-	res.PrivateHosts = m.privateHosts()
-
-	months := cfg.Duration.Hours() / 730
-	u := cost.Usage{Months: months}
-	assets := fluidAssets(cfg)
-	switch cfg.Kind {
-	case deploy.Public:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
-		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
-	case deploy.Private:
-		u.PrivateHosts = res.PrivateHosts
-	case deploy.Hybrid:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
-		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
-		u.PrivateHosts = res.PrivateHosts
-		u.HybridMonths = months
-	case deploy.Desktop:
-		u.DesktopStudents = cfg.Students
-	}
+	res.PrivateHosts = m.privHosts
 	var err error
-	res.Cost, err = cost.Bill(u, cost.DefaultRates())
+	res.Cost, err = bill(cfg, res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}

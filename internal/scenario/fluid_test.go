@@ -152,3 +152,43 @@ func TestFluidDeterminism(t *testing.T) {
 		t.Fatal("fluid run not deterministic")
 	}
 }
+
+// TestEveryRunModeBillsTheSameStorage pins the one placement rule: for
+// the same hybrid Config, the flow model, the hybrid stitcher and a
+// sharded merge charge exactly the public storage a request-level Run
+// charges — whether the policy pins sensitive assets private or not.
+func TestEveryRunModeBillsTheSameStorage(t *testing.T) {
+	for _, pinned := range []bool{false, true} {
+		cfg := quickCfg(deploy.Hybrid)
+		cfg.HybridPolicy = deploy.HybridPolicy{SensitivePrivate: pinned, PrivateBaseShare: 0.5}
+		run, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Cost.Storage <= 0 {
+			t.Fatalf("pinned=%v: Run billed no public storage", pinned)
+		}
+		fluid, err := FluidRun(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hyb, err := HybridRun(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded := cfg
+		sharded.Shards = 2
+		merged, err := ShardedRun(sharded, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			got  float64
+		}{{"FluidRun", fluid.Cost.Storage}, {"HybridRun", hyb.Cost.Storage}, {"ShardedRun", merged.Cost.Storage}} {
+			if c.got != run.Cost.Storage {
+				t.Errorf("pinned=%v: %s storage %v != Run storage %v", pinned, c.name, c.got, run.Cost.Storage)
+			}
+		}
+	}
+}

@@ -231,7 +231,7 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 		Scaler:        cfg.Scaler,
 		Duration:      cfg.Duration,
 		Latency:       metrics.DefaultLatency(),
-		PrivateHosts:  m.privateHosts(),
+		PrivateHosts:  m.privHosts,
 		FluidSimHours: acc.hours,
 		// Fluid-side totals first; windows fold in below.
 		VMHoursPublic:  f.VMHoursPublic,
@@ -312,7 +312,7 @@ func stitchHybrid(cfg Config, m *fluidModel, acc *fluidAccum, des []desWindow, w
 	res.P95Series = mergeByTime("p95-window", winP95)
 
 	var err error
-	res.Cost, err = billRun(cfg, fluidAssets(cfg), res.PrivateHosts, res)
+	res.Cost, err = bill(cfg, res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}

@@ -136,19 +136,11 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	if maxPublic <= 0 {
 		maxPublic = dep.ServersAtPeak * 4
 	}
-	privServers := dep.ServersAtPeak
-	if cfg.Kind == deploy.Hybrid {
-		privServers = int(math.Ceil(float64(dep.ServersAtPeak) * cfg.HybridPolicy.PrivateBaseShare))
-		if privServers < 1 {
-			privServers = 1
-		}
-	}
-
 	if dep.PublicDC != nil {
 		pubFleet = newFleet(eng, dep.PublicDC, pubCluster, dep.InstanceType.Spec(), maxPublic)
 		pubTarget := dep.ServersAtPeak
 		if cfg.Kind == deploy.Hybrid {
-			pubTarget = dep.ServersAtPeak - privServers
+			pubTarget = dep.ServersAtPeak - dep.PrivateServers
 			if pubTarget < 1 {
 				pubTarget = 1
 			}
@@ -187,7 +179,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 	}
 	if dep.PrivateDC != nil {
 		privFleet = newFleet(eng, dep.PrivateDC, privCluster, dep.PrivateSpec, 0)
-		privFleet.ScaleTo(privServers) // fixed fleet, sized up front
+		privFleet.ScaleTo(dep.PrivateServers) // fixed fleet, sized up front
 	}
 
 	// --- CDN ---------------------------------------------------------------
@@ -367,7 +359,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 			dep.PrivateDC.FailHost(0)
 			eng.Schedule(cfg.HostRecoveryAfter, "host-repair", func() {
 				dep.PrivateDC.RepairHost(0)
-				privFleet.ScaleTo(privServers)
+				privFleet.ScaleTo(dep.PrivateServers)
 			})
 		})
 	}
@@ -463,7 +455,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		return res, nil
 	}
 
-	res.Cost, err = billRun(cfg, dep.Assets, dep.PrivateHosts, res)
+	res.Cost, err = bill(cfg, dep.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}
@@ -553,29 +545,27 @@ func startScaler(eng *sim.Engine, cfg Config, meanSvc float64, target scale.Targ
 	}
 }
 
-// billRun converts measured consumption into the itemized bill. assets
-// and privateHosts come from the run's deployment on the direct path;
-// a sharded merge instead rebills against the full-scenario asset store
-// and the summed host count, because per-shard deployments each hold a
-// full asset copy that must be billed once, not K times.
-func billRun(cfg Config, assets *lms.AssetStore, privateHosts int, res *Result) (cost.Report, error) {
+// bill is the one billing rule every run mode shares: it turns what a
+// run of cfg consumed into the itemized bill, charging public storage
+// for the assets deploy.AssetsFor places there. A sharded merge and the
+// hybrid stitcher call it once over their totals, so the full asset
+// inventory every shard holds is billed once, not K times.
+func bill(cfg Config, privateHosts int, vmHoursPublic, egressGB, cdnGB float64) (cost.Report, error) {
 	months := cfg.Duration.Hours() / 730
 	u := cost.Usage{Months: months}
 	switch cfg.Kind {
-	case deploy.Public:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
+	case deploy.Public, deploy.Hybrid:
+		assets := deploy.AssetsFor(cfg.Kind, cfg.HybridPolicy, cfg.Courses, cfg.Students)
+		u.VMHoursOnDemand = vmHoursPublic
+		u.EgressGB = egressGB
+		u.CDNGB = cdnGB
 		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
+		if cfg.Kind == deploy.Hybrid {
+			u.PrivateHosts = privateHosts
+			u.HybridMonths = months
+		}
 	case deploy.Private:
 		u.PrivateHosts = privateHosts
-	case deploy.Hybrid:
-		u.VMHoursOnDemand = res.VMHoursPublic
-		u.EgressGB = res.EgressGB
-		u.CDNGB = res.CDNGB
-		u.StorageGBMonths = assets.BytesAt(lms.OnPublic) / 1e9 * months
-		u.PrivateHosts = privateHosts
-		u.HybridMonths = months
 	case deploy.Desktop:
 		u.DesktopStudents = cfg.Students
 	}

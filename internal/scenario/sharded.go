@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"elearncloud/internal/deploy"
 	"elearncloud/internal/metrics"
-	"elearncloud/internal/sim"
 )
 
 // This file shards a DES run into K per-shard engines so runs at
@@ -241,35 +239,17 @@ func mergeShards(cfg Config, shards []*Result, window bool) (*Result, error) {
 		return sum / float64(len(vals))
 	}, p95...)
 
-	// A hybrid window merge stops here: no bill, no reference
-	// deployment — the stitcher bills the assembled horizon once.
+	// A hybrid window merge stops here: the stitcher bills the
+	// assembled horizon once.
 	if window {
 		return res, nil
 	}
 
-	// Rebill at the merged level. Each shard billed a deployment holding
-	// a full copy of the asset store (shards split load, not content),
-	// so summing shard bills would charge storage — and desktop seats —
-	// K times. Build the full scenario's reference deployment once for
-	// its asset placement, then bill the merged consumption against it.
-	gen, err := genFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cat, teaching := mixFor()
-	dep, err := deploy.Build(sim.NewEngine(sim.SeedFor(cfg.Seed, "shard/bill")), deploy.Spec{
-		Kind:            cfg.Kind,
-		Students:        cfg.Students,
-		Courses:         cfg.Courses,
-		ExpectedPeakRPS: gen.MaxRate(),
-		MeanServiceSec:  teaching.MeanService(cat),
-		TargetUtil:      cfg.TargetUtil,
-		Policy:          cfg.HybridPolicy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Cost, err = billRun(cfg, dep.Assets, res.PrivateHosts, res)
+	// Rebill at the merged level. Every shard billed the full asset
+	// inventory (shards split load, not content), so summing shard bills
+	// would charge storage — and desktop seats — K times.
+	var err error
+	res.Cost, err = bill(cfg, res.PrivateHosts, res.VMHoursPublic, res.EgressGB, res.CDNGB)
 	if err != nil {
 		return nil, err
 	}
