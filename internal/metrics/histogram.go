@@ -52,9 +52,51 @@ const maxBuckets = 1 << 14
 // Observe records one observation. Negative, NaN and +Inf values are
 // ignored (they indicate a caller bug but must not corrupt the histogram).
 func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+	if !observable(v) {
 		return
 	}
+	h.add(v, h.bucket(v))
+}
+
+// ObservePair records v in both a and b. When the two share min and
+// growth, as every DefaultLatency histogram does, the bucket index is
+// computed once — one log instead of two; otherwise each computes its
+// own. The result is identical to a.Observe(v) followed by b.Observe(v).
+func ObservePair(a, b *Histogram, v float64) {
+	if !observable(v) {
+		return
+	}
+	idx := a.bucket(v)
+	a.add(v, idx)
+	if b.min != a.min || b.growth != a.growth {
+		idx = b.bucket(v)
+	}
+	b.add(v, idx)
+}
+
+// observable reports whether Observe records v: NaN, ±Inf and
+// negative values are dropped.
+func observable(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
+}
+
+// bucket returns v's bucket index, or -1 for v below min.
+func (h *Histogram) bucket(v float64) int {
+	if v < h.min {
+		return -1
+	}
+	idx := int(math.Log(v/h.min) / h.logG)
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= maxBuckets {
+		idx = maxBuckets - 1
+	}
+	return idx
+}
+
+// add records an observable v in bucket idx (-1: below min).
+func (h *Histogram) add(v float64, idx int) {
 	h.total++
 	h.sum += v
 	if v > h.maxSeen {
@@ -63,16 +105,9 @@ func (h *Histogram) Observe(v float64) {
 	if v < h.minSeen {
 		h.minSeen = v
 	}
-	if v < h.min {
+	if idx < 0 {
 		h.under++
 		return
-	}
-	idx := int(math.Log(v/h.min) / h.logG)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= maxBuckets {
-		idx = maxBuckets - 1
 	}
 	if idx >= len(h.counts) {
 		grown := make([]uint64, idx+1)

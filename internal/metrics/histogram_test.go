@@ -215,3 +215,89 @@ func TestExactQuantile(t *testing.T) {
 		t.Fatal("ExactQuantile mutated input")
 	}
 }
+
+// sameHistogram reports whether a and b hold identical state: counts,
+// sums, extremes, every bucket and the under-min tally.
+func sameHistogram(a, b *Histogram) bool {
+	if a.total != b.total || a.under != b.under ||
+		math.Float64bits(a.sum) != math.Float64bits(b.sum) ||
+		math.Float64bits(a.maxSeen) != math.Float64bits(b.maxSeen) ||
+		math.Float64bits(a.minSeen) != math.Float64bits(b.minSeen) ||
+		len(a.counts) != len(b.counts) {
+		return false
+	}
+	for i := range a.counts {
+		if a.counts[i] != b.counts[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestObservePairMatchesTwoObserves checks ObservePair against two
+// separate Observe calls, on a pair sharing DefaultLatency's geometry
+// (one bucket computation) and on a pair whose geometries differ (each
+// computes its own).
+func TestObservePairMatchesTwoObserves(t *testing.T) {
+	values := []float64{
+		50e-6, 99e-6, 0, math.SmallestNonzeroFloat64, // below min
+		math.NaN(), math.Inf(1), math.Inf(-1), -1, // dropped
+		100e-6, 1, 1e300, math.MaxFloat64, // past maxBuckets for the fine geometry
+	}
+	rng := sim.NewRNG(9)
+	for i := 0; i < 5000; i++ {
+		values = append(values, rng.LogNormal(-2, 1.5))
+	}
+	pairs := []struct {
+		name string
+		a, b func() *Histogram
+	}{
+		{"shared-geometry", DefaultLatency, DefaultLatency},
+		{"different-growth", DefaultLatency, func() *Histogram { return NewHistogram(100e-6, 1.1) }},
+		{"fine-geometry", func() *Histogram { return NewHistogram(1e-3, 1.0001) }, DefaultLatency},
+	}
+	for _, p := range pairs {
+		gotA, gotB, wantA, wantB := p.a(), p.b(), p.a(), p.b()
+		for _, v := range values {
+			ObservePair(gotA, gotB, v)
+			wantA.Observe(v)
+			wantB.Observe(v)
+		}
+		if !sameHistogram(gotA, wantA) || !sameHistogram(gotB, wantB) {
+			t.Fatalf("%s: ObservePair state differs from two Observe calls", p.name)
+		}
+		if gotA.Count() == 0 || gotA.under == 0 {
+			t.Fatalf("%s: values exercised no bucket or no under-min tally", p.name)
+		}
+	}
+	if fine := NewHistogram(1e-3, 1.0001); fine.bucket(100) != maxBuckets-1 {
+		t.Fatalf("100 in the fine geometry lands in bucket %d, want the last (%d)", fine.bucket(100), maxBuckets-1)
+	}
+}
+
+// BenchmarkHistogramObserve records a served request's latency in the
+// run-wide and the per-minute window histogram, as the scenario request
+// path does: two Observe calls, or one ObservePair.
+func BenchmarkHistogramObserve(b *testing.B) {
+	rng := sim.NewRNG(1)
+	lat := make([]float64, 4096)
+	for i := range lat {
+		lat[i] = rng.LogNormal(-2, 1.5)
+	}
+	b.Run("two-observes", func(b *testing.B) {
+		run, window := DefaultLatency(), DefaultLatency()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			v := lat[i%len(lat)]
+			run.Observe(v)
+			window.Observe(v)
+		}
+	})
+	b.Run("pair", func(b *testing.B) {
+		run, window := DefaultLatency(), DefaultLatency()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ObservePair(run, window, lat[i%len(lat)])
+		}
+	})
+}

@@ -116,21 +116,7 @@ func TestHybridWindowSeamConservation(t *testing.T) {
 // the window's identity must balance with KilledJobs as its own term:
 // Arrivals == Served + Rejected + Offline + KilledJobs + CarriedOut.
 func TestHybridWindowKilledRequestsCountOnce(t *testing.T) {
-	cfg := Config{
-		Seed:              3,
-		Kind:              deploy.Private,
-		Students:          2000,
-		ReqPerStudentHour: 50,
-		Duration:          12 * time.Hour,
-		Diurnal:           workload.FlatDiurnal(),
-		Crowds: []workload.FlashCrowd{{
-			Start: 6 * time.Hour, End: 7 * time.Hour, Mult: 10, ExamTraffic: true,
-		}},
-		HostFailureAt:     6*time.Hour + 30*time.Minute,
-		HostRecoveryAfter: time.Hour,
-		HybridIntensity:   1.5,
-		HybridGuard:       10 * time.Minute,
-	}
+	cfg := hostFailureCfg()
 	if err := cfg.defaults(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +143,57 @@ func TestHybridWindowKilledRequestsCountOnce(t *testing.T) {
 	if got != r.Arrivals {
 		t.Errorf("conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d killed + %d carried-out = %d",
 			r.Arrivals, r.Served, r.Rejected, r.Offline, r.KilledJobs, r.CarriedOut, got)
+	}
+}
+
+// hostFailureCfg is a private campus whose first host fails in the
+// middle of a 10x exam crowd, killing in-flight requests.
+func hostFailureCfg() Config {
+	return Config{
+		Seed:              3,
+		Kind:              deploy.Private,
+		Students:          2000,
+		ReqPerStudentHour: 50,
+		Duration:          12 * time.Hour,
+		Diurnal:           workload.FlatDiurnal(),
+		Crowds: []workload.FlashCrowd{{
+			Start: 6 * time.Hour, End: 7 * time.Hour, Mult: 10, ExamTraffic: true,
+		}},
+		HostFailureAt:     6*time.Hour + 30*time.Minute,
+		HostRecoveryAfter: time.Hour,
+		HybridIntensity:   1.5,
+		HybridGuard:       10 * time.Minute,
+	}
+}
+
+// TestConservationOnRunAndShardedRun runs the host-failure config
+// through Run and a two-shard ShardedRun. Every engine checks, as it
+// ends, that each arrival settled once — served, rejected, offline or
+// killed — or is still in flight, and fails the run otherwise; the
+// killed requests must therefore settle as killed and nowhere else.
+func TestConservationOnRunAndShardedRun(t *testing.T) {
+	cfg := hostFailureCfg()
+	direct, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	sharded := cfg
+	sharded.Shards = 2
+	merged, err := ShardedRun(sharded, NewPool(2))
+	if err != nil {
+		t.Fatalf("ShardedRun: %v", err)
+	}
+	for _, run := range []struct {
+		name string
+		r    *Result
+	}{{"Run", direct}, {"ShardedRun", merged}} {
+		r := run.r
+		if r.KilledJobs == 0 {
+			t.Errorf("%s: the host failure killed no request", run.name)
+		}
+		if settled := r.Served + r.Rejected + r.Offline + uint64(r.KilledJobs); settled > r.Arrivals {
+			t.Errorf("%s: %d settled outcomes exceed %d arrivals", run.name, settled, r.Arrivals)
+		}
 	}
 }
 

@@ -92,8 +92,7 @@ func (r *request) delivered() {
 	p := r.rp
 	r.path.End()
 	lat := sim.ToSeconds(p.eng.Now() - r.start)
-	p.res.Latency.Observe(lat)
-	p.windowHist.Observe(lat)
+	metrics.ObservePair(p.res.Latency, p.windowHist, lat)
 	p.res.Served++
 	p.live--
 	if r.egress {

@@ -209,8 +209,7 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 		if cfg.Kind == deploy.Desktop {
 			// Locally installed application: no network, no queueing
 			// across users, just a slower machine.
-			res.Latency.Observe(service * desktopSlowdown)
-			windowHist.Observe(service * desktopSlowdown)
+			metrics.ObservePair(res.Latency, windowHist, service*desktopSlowdown)
 			res.Served++
 			return
 		}
@@ -445,6 +444,13 @@ func runShard(cfg Config, sc *shardCtx) (*Result, error) {
 			fit = growthFit.Fit()
 		}
 		res.Fit = &fit
+	}
+
+	// Every arrival settles exactly once — served, rejected, offline or
+	// killed — or is still in flight at the end of the slice.
+	if settled := res.Served + res.Rejected + res.Offline + uint64(res.KilledJobs) + uint64(reqs.live); settled != res.Arrivals {
+		return nil, fmt.Errorf("scenario: conservation broken: %d arrivals vs %d served + %d rejected + %d offline + %d killed + %d in flight",
+			res.Arrivals, res.Served, res.Rejected, res.Offline, res.KilledJobs, reqs.live)
 	}
 
 	if win != nil {

@@ -31,6 +31,19 @@
 //     on those nonstationary shapes (BenchmarkMOOCAcceptance pins the
 //     acceptance rate at 10^5 students); table9, figure10 and
 //     examples/mooc consume them.
+//   - Every ArrivalStream — Generator.Stream, a ShardGen's Stream, and
+//     Generate, which drains one — samples that bound through its own
+//     cursor (envelope.go). The cursor builds each envelope segment
+//     once: segments end at every window edge and hour mark, and weeks
+//     start on hour marks, so until, the growth curve at until, the
+//     calendar, crowd and deadline-storm factors and a shard's active
+//     members at until are constant on a segment. Per thinning
+//     candidate it evaluates the growth curve once, shared by the
+//     bound, the rate and the user pick. Any query outside the cached
+//     segment rebuilds it, so the result is bit-identical to the
+//     formula evaluated afresh, in any query order
+//     (TestShardStreamCursorMatchesFormula); BenchmarkShardStream
+//     measures the cost per arrival.
 //   - Trace / ReadTrace record and replay a generated arrival sequence
 //     as JSON, pinning one workload across deployment models.
 package workload

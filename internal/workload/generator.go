@@ -115,12 +115,13 @@ func (g *Generator) Population(t time.Duration) float64 {
 	return float64(g.cfg.Students)
 }
 
-// users returns the user-ID range active at t, at least 1.
-func (g *Generator) users(t time.Duration) int {
+// usersOf returns the user-ID range active under a population of pop
+// (a Population value): at least 1, at most Students.
+func (g *Generator) usersOf(pop float64) int {
 	if g.cfg.Growth == nil {
 		return g.cfg.Students
 	}
-	n := int(math.Ceil(g.cfg.Growth.At(t)))
+	n := int(math.Ceil(pop))
 	if n < 1 {
 		n = 1
 	}
@@ -132,7 +133,13 @@ func (g *Generator) users(t time.Duration) int {
 
 // Rate returns the instantaneous aggregate arrival rate (req/s) at t.
 func (g *Generator) Rate(t time.Duration) float64 {
-	base := g.Population(t) * g.cfg.ReqPerStudentHour / 3600
+	return g.rateOf(t, g.Population(t))
+}
+
+// rateOf is Rate at t given Population(t), so a caller that already
+// holds the population does not evaluate the growth curve again.
+func (g *Generator) rateOf(t time.Duration, pop float64) float64 {
+	base := pop * g.cfg.ReqPerStudentHour / 3600
 	rate := base * g.cfg.Diurnal.At(t)
 	if g.cfg.Calendar != nil {
 		rate *= g.cfg.Calendar.WeekAt(t).Mult
@@ -238,143 +245,39 @@ func (g *Generator) MixAt(t time.Duration) *lms.Mix {
 	return g.teachingMix
 }
 
-// Envelope returns the piecewise-constant thinning bound the generator
-// samples under. For stationary-bound configs (no growth, no storms)
-// it is a single segment at MaxRate — byte-identical behavior to the
-// flat sampler. For MOOC shapes it re-bounds every hour (every minute
-// inside an active storm window, where the multiplier moves on minute
-// scales), using monotonicity of the growth curve and the storm shapes,
-// so thinning acceptance stays high while the population grows 10x.
-func (g *Generator) Envelope() sim.EnvelopeFunc {
-	if g.cfg.Growth == nil && len(g.cfg.Storms) == 0 && len(g.cfg.Joins) == 0 {
-		return sim.ConstantEnvelope(g.MaxRate())
-	}
-	return func(t sim.Time) (float64, sim.Time) {
-		until := g.segmentEnd(t)
-		return g.segmentBound(t, until), until
-	}
-}
-
-// segmentEnd returns the end of the envelope segment starting at t:
-// the next hour mark, tightened around shape edges so a bound never
-// straddles a window boundary loosely, and re-bounded minute-by-minute
-// while an exponential storm shape is actually moving.
-func (g *Generator) segmentEnd(t time.Duration) time.Duration {
-	until := t - t%time.Hour + time.Hour
-	clampEdge := func(edge time.Duration) {
-		if edge > t && edge < until {
-			until = edge
-		}
-	}
-	storming := false
-	for _, c := range g.cfg.Crowds {
-		clampEdge(c.Start)
-		clampEdge(c.End)
-	}
-	for _, s := range g.cfg.Storms {
-		clampEdge(s.Deadline - s.Ramp)
-		clampEdge(s.Deadline)
-		storming = storming || s.Active(t)
-	}
-	for _, j := range g.cfg.Joins {
-		clampEdge(j.Start)
-		clampEdge(j.Start + j.Window)
-		storming = storming || j.Active(t)
-	}
-	if storming {
-		if minuteEnd := t - t%time.Minute + time.Minute; minuteEnd < until {
-			until = minuteEnd
-		}
-	}
-	return until
-}
-
-// segmentBound returns the envelope's rate bound over [t, until):
-// the quiet bound scaled by the burst multiplier bound.
-func (g *Generator) segmentBound(t, until time.Duration) float64 {
-	return g.quietBound(t, until) * g.burstMult(t, until)
-}
-
-// quietBound bounds the rate over [t, until) ignoring crowd, storm and
-// join windows: population, diurnal shape and calendar only.
-func (g *Generator) quietBound(t, until time.Duration) float64 {
-	pop := float64(g.cfg.Students)
-	if g.cfg.Growth != nil {
-		pop = g.cfg.Growth.At(until) // monotone: segment max at the end
-	}
-	max := pop * g.cfg.ReqPerStudentHour / 3600
-	// Diurnal is linear between hour anchors and [t, until) never
-	// crosses one, so the endpoints bound the segment.
-	max *= math.Max(g.cfg.Diurnal.At(t), g.cfg.Diurnal.At(until))
-	if g.cfg.Calendar != nil {
-		// Week boundaries fall on hour marks, never inside [t, until).
-		max *= g.cfg.Calendar.WeekAt(t).Mult
-	}
-	return max
-}
-
-// burstMult bounds the product of crowd/storm/join multipliers over
-// [t, until) — the factor by which the segment's bound exceeds its
-// quiet baseline. This is the quantity the hybrid fidelity planner
-// classifies on: a segment is "bursty" exactly when burstMult clears
-// the intensity threshold.
-func (g *Generator) burstMult(t, until time.Duration) float64 {
-	mult := 1.0
-	for _, c := range g.cfg.Crowds {
-		if c.Active(t) && c.Mult > 1 {
-			mult *= c.Mult
-		}
-	}
-	for _, s := range g.cfg.Storms {
-		mult *= s.MaxOn(t, until)
-	}
-	for _, j := range g.cfg.Joins {
-		mult *= j.MaxOn(t, until)
-	}
-	return mult
-}
-
 // Generate produces arrivals on [start, horizon) in time order, invoking
 // fn for each, and returns the count. Identical (rng state, config)
 // produce identical streams.
 func (g *Generator) Generate(rng *sim.RNG, start, horizon time.Duration, fn func(Arrival)) int {
-	proc := sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
-		return g.Rate(t)
-	}, g.Envelope(), start)
-	classRNG := rng.Stream("classes")
-	userRNG := rng.Stream("users")
-	return proc.GenerateInto(horizon, func(t sim.Time) {
-		fn(Arrival{
-			At:     t,
-			Class:  g.MixAt(t).Sample(classRNG),
-			UserID: userRNG.Intn(g.users(t)),
-		})
-	})
+	return g.Stream(rng, start).drain(horizon, fn)
 }
 
 // ArrivalStream produces arrivals one at a time, so simulations can
 // schedule lazily instead of materializing millions of events up front.
+// It owns the sampling cursor its thinning envelope and rate read (see
+// envelope.go), so a stream must stay on one goroutine; streams of one
+// Generator or Sharding may run concurrently.
 type ArrivalStream struct {
-	gen      *Generator
+	cur      cursor
 	proc     *sim.NHPP
 	classRNG *sim.RNG
 	userRNG  *sim.RNG
-	// pickUser draws the arrival's user; the default draws uniformly
-	// from the active population, a ShardGen stream from its members.
-	pickUser func(t time.Duration) int
 }
 
 // Stream returns a lazy arrival stream starting at start.
 func (g *Generator) Stream(rng *sim.RNG, start time.Duration) *ArrivalStream {
+	return newStream(cursor{g: g}, rng, start)
+}
+
+// newStream builds a stream sampling through cur: the whole
+// population's, or a shard's.
+func newStream(cur cursor, rng *sim.RNG, start time.Duration) *ArrivalStream {
 	s := &ArrivalStream{
-		gen: g,
-		proc: sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
-			return g.Rate(t)
-		}, g.Envelope(), start),
+		cur:      cur,
 		classRNG: rng.Stream("classes"),
 		userRNG:  rng.Stream("users"),
 	}
-	s.pickUser = func(t time.Duration) int { return s.userRNG.Intn(s.gen.users(t)) }
+	s.proc = sim.NewNHPPEnvelope(rng.Stream("arrivals"), s.cur.rate, s.cur.envelope, start)
 	return s
 }
 
@@ -386,9 +289,34 @@ func (s *ArrivalStream) Next(horizon time.Duration) (Arrival, bool) {
 	}
 	return Arrival{
 		At:     t,
-		Class:  s.gen.MixAt(t).Sample(s.classRNG),
+		Class:  s.cur.g.MixAt(t).Sample(s.classRNG),
 		UserID: s.pickUser(t),
 	}, true
+}
+
+// pickUser draws an arrival's user uniformly from the active
+// population, or from the shard's active members. At K=1 members[i] ==
+// i, so a one-shard stream consumes the RNG and yields the same value
+// as the unsharded Intn(n) draw.
+func (s *ArrivalStream) pickUser(t time.Duration) int {
+	in := s.cur.at(t)
+	if !s.cur.shard {
+		return s.userRNG.Intn(in.users)
+	}
+	return s.cur.members[s.userRNG.Intn(in.active)]
+}
+
+// drain hands every arrival before horizon to fn and returns the count.
+func (s *ArrivalStream) drain(horizon time.Duration, fn func(Arrival)) int {
+	n := 0
+	for {
+		a, ok := s.Next(horizon)
+		if !ok {
+			return n
+		}
+		n++
+		fn(a)
+	}
 }
 
 // Thinning reports the stream's sampler efficiency so far: candidate

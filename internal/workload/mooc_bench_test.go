@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -98,5 +100,69 @@ func BenchmarkMOOCAcceptance(b *testing.B) {
 					c.name, rate*100, accepted, proposed)
 			}
 		})
+	}
+}
+
+// BenchmarkShardStream measures NHPP thinning on the request path: one
+// op drains table11's course (50k→500k logistic MOOC, timezone-
+// superposed day, launch join spike, two deadline storms) as four shard
+// streams over the DES window around the first deadline storm,
+// [3d18h, 3d20h), as a 4-shard hybrid window does. It reports
+// ns/arrival and allocs/arrival. The drain must not allocate; the
+// runtime's malloc count is process-wide, so the gate tolerates the
+// stray allocation of a profiler or the runtime itself (below one per
+// thousand arrivals), not one per arrival.
+func BenchmarkShardStream(b *testing.B) {
+	day := 24 * time.Hour
+	week := 7 * day
+	g, err := NewGenerator(Config{
+		Growth:            LogisticGrowth(50000, 500000, 4*week),
+		ReqPerStudentHour: 8,
+		Diurnal:           GlobalCohort(),
+		Joins: []JoinStorm{{
+			Start: 2*day + 18*time.Hour, Window: 30 * time.Minute, PeakMult: 5,
+		}},
+		Storms: []DeadlineStorm{
+			{Deadline: 3*day + 20*time.Hour, Ramp: 75 * time.Minute, PeakMult: 4},
+			{Deadline: 5*day + 20*time.Hour, Ramp: 75 * time.Minute, PeakMult: 4},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shards = 4
+	start, end := 3*day+18*time.Hour, 3*day+20*time.Hour
+	sh := g.ShardBy(shards)
+	streams := make([]*ArrivalStream, shards)
+	var arrivals, mallocs uint64
+	var ms runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range streams {
+			streams[k] = sh.Shard(k).Stream(sim.NewRNG(uint64(i)+1).Stream(fmt.Sprintf("shard/%d", k)), start)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for _, s := range streams {
+			for {
+				if _, ok := s.Next(end); !ok {
+					break
+				}
+				arrivals++
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+	}
+	b.StopTimer()
+	if arrivals == 0 {
+		b.Fatal("no arrivals generated")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arrivals), "ns/arrival")
+	perArrival := float64(mallocs) / float64(arrivals)
+	b.ReportMetric(perArrival, "allocs/arrival")
+	if perArrival >= 1e-3 {
+		b.Fatalf("draining the shard streams allocated %d times over %d arrivals, want none", mallocs, arrivals)
 	}
 }

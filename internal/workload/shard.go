@@ -2,8 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"elearncloud/internal/sim"
@@ -87,17 +85,16 @@ type ShardGen struct {
 	members []int
 }
 
-// active returns the number of this shard's members with ID < n — the
-// shard's share of an active population of n users.
-func (sg *ShardGen) active(n int) int {
-	return sort.SearchInts(sg.members, n)
+// cursor returns a fresh sampling cursor over the shard's members.
+func (sg *ShardGen) cursor() cursor {
+	return cursor{g: sg.g, shard: true, members: sg.members}
 }
 
 // Rate returns the shard's instantaneous arrival rate at t: the full
 // rate times the fraction of active users the shard owns.
 func (sg *ShardGen) Rate(t time.Duration) float64 {
-	n := sg.g.users(t)
-	return sg.g.Rate(t) * (float64(sg.active(n)) / float64(n))
+	c := sg.cursor()
+	return c.rate(t)
 }
 
 // MaxRate bounds the shard's rate over any horizon: the full bound
@@ -109,26 +106,14 @@ func (sg *ShardGen) MaxRate() float64 {
 
 // Envelope returns the shard's piecewise thinning bound: the full
 // envelope times an upper bound on the shard's active share over the
-// segment. With n growing monotonically from n(t) to n(until), the
-// share c(n)/n is bounded by c(n(until))/n(t) — c is nondecreasing and
-// 1/n nonincreasing — clamped to 1 since a share never exceeds one.
-// The clamp also makes K=1 exact: there c(n)=n, the ratio is >= 1, and
-// the factor is exactly 1.0, leaving the base bound bit-identical.
+// segment, c(n(until))/n(t) clamped to 1 (see cursor.envelope; at K=1
+// the factor is exactly 1.0). Like Generator.Envelope, the function
+// builds its segment afresh on every call; the shard's streams sample
+// the same bound through their own cursors.
 func (sg *ShardGen) Envelope() sim.EnvelopeFunc {
-	base := sg.g.Envelope()
 	return func(t sim.Time) (float64, sim.Time) {
-		max, until := base(t)
-		share := float64(sg.active(sg.g.users(until))) / float64(sg.g.users(t))
-		return max * math.Min(1, share), until
-	}
-}
-
-// pickUser draws an arrival's user uniformly from the shard's active
-// members. At K=1 members[i] == i, so the draw consumes the RNG and
-// yields the same value as the unsharded Intn(n) path.
-func (sg *ShardGen) pickUser(userRNG *sim.RNG) func(t time.Duration) int {
-	return func(t time.Duration) int {
-		return sg.members[userRNG.Intn(sg.active(sg.g.users(t)))]
+		c := sg.cursor()
+		return c.envelope(t)
 	}
 }
 
@@ -136,29 +121,11 @@ func (sg *ShardGen) pickUser(userRNG *sim.RNG) func(t time.Duration) int {
 // mirroring Generator.Stream with the shard's rate, envelope, and user
 // pool.
 func (sg *ShardGen) Stream(rng *sim.RNG, start time.Duration) *ArrivalStream {
-	userRNG := rng.Stream("users")
-	return &ArrivalStream{
-		gen: sg.g,
-		proc: sim.NewNHPPEnvelope(rng.Stream("arrivals"), func(t sim.Time) float64 {
-			return sg.Rate(t)
-		}, sg.Envelope(), start),
-		classRNG: rng.Stream("classes"),
-		userRNG:  userRNG,
-		pickUser: sg.pickUser(userRNG),
-	}
+	return newStream(sg.cursor(), rng, start)
 }
 
 // Generate produces the shard's arrivals on [start, horizon) in time
 // order, invoking fn for each, and returns the count.
 func (sg *ShardGen) Generate(rng *sim.RNG, start, horizon time.Duration, fn func(Arrival)) int {
-	s := sg.Stream(rng, start)
-	n := 0
-	for {
-		a, ok := s.Next(horizon)
-		if !ok {
-			return n
-		}
-		n++
-		fn(a)
-	}
+	return sg.Stream(rng, start).drain(horizon, fn)
 }

@@ -161,7 +161,7 @@ func TestShardArrivalsStayHome(t *testing.T) {
 			if !own[a.UserID] {
 				t.Fatalf("shard %d produced foreign user %d", k, a.UserID)
 			}
-			if n := g.users(a.At); a.UserID >= n {
+			if n := g.usersOf(g.Population(a.At)); a.UserID >= n {
 				t.Fatalf("shard %d produced user %d before activation (active %d at %v)", k, a.UserID, n, a.At)
 			}
 		})
